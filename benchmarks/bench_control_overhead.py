@@ -6,15 +6,16 @@ Registration is build-time-only (lazy closures) and the schedule engine
 rides the kernel's hook heap, so an unconfigured control plane's entire
 per-cycle cost is one ``if self._hook_heap`` check.  This bench measures
 a streaming, always-busy workload (the worst case for per-tick overhead:
-no idle stretches to fast-forward) three ways —
+no idle stretches to fast-forward) five ways —
 
 * ``control=False``   (registries never built),
 * ``control=True``    (registries built, nothing scheduled),
 * ``control=True`` + a live telemetry server attached but unwatched
   (the run-loop poll seam with an empty inbox),
 * ``control=False`` + an attached flight recorder with the journal
-  disabled (the recorded kernel path: wake attribution, occupancy,
-  phase timing — the cost `run --profile` pays), and
+  disabled (the kernel's one step body with its recorder observation
+  points live: wake attribution, occupancy, stride-sampled phase and
+  per-component tick timing — the cost `run --profile` pays), and
 * ``control=True`` + a periodic sampler (informational),
 
 interleaving the runs in per-variant ABBA quads (baseline, variant,
@@ -90,9 +91,9 @@ def _run_once(control: bool, sampler: bool, server=None,
             every=SAMPLER_EVERY,
         )
     if recorder:
-        # Flight recorder attached, journal disabled — the kernel's
-        # recorded step path (wake-cause attribution, occupancy,
-        # phase timing), i.e. what every `--profile` run pays.
+        # Flight recorder attached, journal disabled — the step body's
+        # observation points live (wake-cause attribution, occupancy,
+        # sampled phase and tick timing), i.e. what `--profile` pays.
         from repro.obs import FlightRecorder
 
         FlightRecorder().attach(system.sim)

@@ -5,7 +5,7 @@ Two sweeps, both derived from the shipped ``fig6a.toml`` platform (its
 topology, traffic, and warm-up), each appending one tagged payload to
 ``BENCH_snapshot.json``:
 
-* ``"sweep": "flat"`` — the PR 5 shape: one ``[[schedule]]`` rule
+* ``"sweep": "flat"`` — a single-snapshot tree: one ``[[schedule]]`` rule
   programs the DMA's REALM budget/period at a fixed cycle, swept over
   the budget value.  Every point is identical up to that firing, so
   the whole campaign shares a single snapshot.
@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _bench_utils import emit  # noqa: E402
 from repro.scenario import (  # noqa: E402
     load_file,
-    plan_fork,
     plan_fork_tree,
     run_campaign,
 )
@@ -114,8 +113,8 @@ def _time_campaign(spec, fork: bool):
 
 def measure() -> dict:
     spec = _fork_sweep_spec()
-    plan = plan_fork(expand(spec))
-    assert plan is not None and plan.fork_cycle == FORK_CYCLE, (
+    tree = plan_fork_tree(expand(spec))
+    assert tree.shares_prefix and tree.root.cycle == FORK_CYCLE, (
         "the derived sweep must expose a provable shared prefix"
     )
     best = {False: float("inf"), True: float("inf")}

@@ -199,7 +199,10 @@ def _emit_execution_stats(result, verbose: bool = False) -> None:
               f"{result.fork_cycle} cycles simulated once")
     if not verbose:
         return
-    # Campaign-wide per-component share of wall-clock tick time.
+    # Campaign-wide per-component share of wall-clock tick time,
+    # estimated from the recorder's stride-sampled steps.
+    from repro.obs import PHASE_STRIDE
+
     seconds: dict[str, float] = {}
     ticks: dict[str, int] = {}
     for point in result.points:
@@ -210,7 +213,8 @@ def _emit_execution_stats(result, verbose: bool = False) -> None:
     if not total:
         print("\n(no tick time recorded)")
         return
-    print(f"\n# tick-time profile ({total:.3f}s total tick time)")
+    print(f"\n# tick-time profile (~{total:.3f}s total tick time, "
+          f"estimated from 1 in {PHASE_STRIDE} steps)")
     print(f"{'component':<28} {'share':>7} {'seconds':>9} {'ticks':>10}")
     rows = sorted(seconds.items(), key=lambda kv: kv[1], reverse=True)
     for name, secs in rows:

@@ -15,7 +15,7 @@ from repro.obs.metrics import (
     profile_rows,
     span_stats_view,
 )
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import PHASE_STRIDE, FlightRecorder
 from repro.obs.trace_export import campaign_trace, write_trace
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "PHASE_STRIDE",
     "campaign_trace",
     "profile_rows",
     "span_stats_view",

@@ -142,9 +142,10 @@ class MetricsRegistry:
 def profile_rows(metrics: dict) -> list:
     """``(component name, seconds, ticks)`` rows, slowest first.
 
-    The per-component tick-time rows ``--profile`` has always printed,
-    reconstructed from ``tick.<name>.seconds`` / ``tick.<name>.ticks``
-    counters.  Returns ``[]`` when profiling was not enabled.
+    The per-component tick-time rows ``--profile`` prints, read from
+    the ``tick.<name>.seconds`` / ``tick.<name>.ticks`` counters —
+    estimates scaled up from the recorder's 1-in-``PHASE_STRIDE``
+    sampled steps.  Returns ``[]`` when no step was sampled.
     """
     counters = metrics.get("counters", {})
     seconds: dict = {}

@@ -7,11 +7,12 @@ collects execution-side measurements while the run proceeds:
 * wake-cause attribution per component (channel commit vs ``wake_at``
   timer vs ``call_at`` hook),
 * an active-set occupancy histogram (one observation per stepped cycle),
-* phase-split wall time (tick / express / commit / snapshot), stride-
-  sampled on 1 in :data:`PHASE_STRIDE` stepped cycles — four
-  ``perf_counter`` calls on every step would alone breach the <2%
-  overhead gate, and phase *shares* are stable under uniform sampling
-  (the reported seconds are the sample scaled by the stride),
+* phase-split wall time (tick / express / commit / snapshot) and
+  per-component tick time, stride-sampled on 1 in :data:`PHASE_STRIDE`
+  stepped cycles — ``perf_counter`` calls on every step would alone
+  breach the <2% overhead gate, and *shares* are stable under uniform
+  sampling (the reported seconds and tick counts are the sample scaled
+  by the stride; ``--profile`` prints the per-component estimates),
 * span, express-route, fast-forward, and checkpoint counters,
 * optionally a bounded :class:`~repro.obs.journal.EventJournal` of the
   same transitions, for trace export.
@@ -19,8 +20,8 @@ collects execution-side measurements while the run proceeds:
 Everything here is execution strategy, never simulated state: the
 recorder is invisible to ``snapshot/`` (lint rule ``obs-isolation``
 locks that in) and neutral to digests and goldens.  Detached, the
-kernel pays exactly one ``is None`` attribute test per step — the same
-discipline as the ``set_poll`` seam.
+kernel's single step body skips every observation point behind an
+``is None`` test — the same discipline as the ``set_poll`` seam.
 
 The hot-path counters are plain dicts and lists on the recorder
 (cheapest possible updates); :meth:`FlightRecorder.snapshot` folds them
@@ -30,6 +31,7 @@ serializes it, so every consumer reads one registry-shaped dict.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Optional
 
 from repro.obs.journal import DEFAULT_CAPACITY, EventJournal
@@ -66,6 +68,8 @@ class FlightRecorder:
         self._channel_wakes: dict = {}  # component -> count
         self._occupancy: list = [0]
         self._phase = [0.0, 0.0, 0.0, 0.0]  # tick, express, commit, snapshot
+        # Per-component tick time on sampled steps: name -> [ticks, s].
+        self._tick_samples: dict = {}
         self._phase_mask = PHASE_STRIDE - 1  # kernel's sampling test
         self._attach_active = 0
         self._fast_forwards = 0
@@ -124,6 +128,26 @@ class FlightRecorder:
         if journal is not None:
             journal.append((cycle, "wake", name, cause))
 
+    def timed_tick(self, component, cycle: int) -> None:
+        """Tick *component* on a sampled step, timing it."""
+        t0 = perf_counter()
+        component.tick(cycle)
+        elapsed = perf_counter() - t0
+        samples = self._tick_samples
+        slot = samples.get(component.name)
+        if slot is None:
+            slot = samples[component.name] = [0, 0.0]
+        slot[0] += 1
+        slot[1] += elapsed
+
+    def sample_phases(self, t0: float, t1: float, t2: float) -> None:
+        """Close a sampled step: tick, express, and commit phase time
+        from the kernel's ``t0``/``t1``/``t2`` marks to now."""
+        phase = self._phase
+        phase[0] += t1 - t0
+        phase[1] += t2 - t1
+        phase[2] += perf_counter() - t2
+
     def fast_forward(self, start: int, skipped: int) -> None:
         self._fast_forwards += 1
         journal = self.journal
@@ -180,15 +204,6 @@ class FlightRecorder:
                 counter(f"span.abort.{cause}").value = count
             gauge("kernel.cycle").set(sim.cycle)
             gauge("span.enabled").set(int(sim.span_replay_enabled))
-            tick_seconds = sim._tick_seconds
-            gauge("profile.enabled").set(int(tick_seconds is not None))
-            if tick_seconds:
-                tick_counts = sim._tick_counts or {}
-                for name, seconds in tick_seconds.items():
-                    counter(f"tick.{name}.seconds").value = seconds
-                    counter(f"tick.{name}.ticks").value = (
-                        tick_counts.get(name, 0)
-                    )
         counter("kernel.fast_forwards").value = self._fast_forwards
         counter("kernel.hooks_fired").value = self._hooks_fired
         counter("express.installed").value = self._express_installed
@@ -207,19 +222,24 @@ class FlightRecorder:
         # ended in a sleep or is still running, so sleeps = episodes
         # started (active at attach + attributed wakes) - still active.
         # Counting per event would cost an attribute store on a
-        # ~2-per-cycle path; wakes that bypass attribution (a direct
-        # ``Simulator.wake`` outside commit/timer/hook paths, e.g. an
-        # immediate knob write) are not included.  The journal, when
-        # enabled, records the exact per-event sequence.
+        # ~2-per-cycle path.  Every wake path (commit, timer, hook,
+        # direct ``Simulator.wake``, ``wake_at`` of a past cycle, reset)
+        # is attributed; only a snapshot restore replaces the active set
+        # wholesale.  The journal, when enabled, records the exact
+        # per-event sequence.
         if sim is not None:
             counter("kernel.sleeps").value = max(
                 self._attach_active + wake_total - len(sim._active), 0
             )
-        # Tick/express/commit were measured on 1-in-PHASE_STRIDE stepped
-        # cycles; scale the sample back to whole-run seconds (snapshot
-        # time is measured on every capture/restore — no scaling).
+        # Tick/express/commit and per-component ticks were measured on
+        # 1-in-PHASE_STRIDE stepped cycles; scale the sample back to
+        # whole-run estimates (snapshot time is measured on every
+        # capture/restore — no scaling).
         phase = self._phase
         stride = self._phase_mask + 1
+        for name, (ticks, seconds) in self._tick_samples.items():
+            counter(f"tick.{name}.seconds").value = seconds * stride
+            counter(f"tick.{name}.ticks").value = ticks * stride
         gauge("phase.sample_stride").set(stride)
         gauge("phase.tick_seconds").set(phase[0] * stride)
         gauge("phase.express_seconds").set(phase[1] * stride)

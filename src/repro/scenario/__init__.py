@@ -17,13 +17,7 @@ Typical use::
 """
 
 from repro.scenario.errors import ScenarioError
-from repro.scenario.fork import (
-    ForkNode,
-    ForkPlan,
-    ForkTree,
-    plan_fork,
-    plan_fork_tree,
-)
+from repro.scenario.fork import ForkNode, ForkTree, plan_fork_tree
 from repro.scenario.loader import dumps, load_file, loads
 from repro.scenario.report import CampaignResult, PointResult
 from repro.scenario.runner import (
@@ -69,7 +63,6 @@ __all__ = [
     "CampaignSpec",
     "ExpandedPoint",
     "ForkNode",
-    "ForkPlan",
     "ForkTree",
     "ManagerScenario",
     "MemoryScenario",
@@ -96,7 +89,6 @@ __all__ = [
     "install_control",
     "load_file",
     "loads",
-    "plan_fork",
     "plan_fork_tree",
     "realm_params_to_dict",
     "run_campaign",

@@ -1,12 +1,12 @@
-"""Fork planning: provably shared campaign prefixes, flat and tree-shaped.
+"""Fork planning: provably shared campaign prefixes as a prefix tree.
 
 Campaign points that differ only in *time-anchored* inputs — the values
 a ``[[schedule]]`` rule writes when it fires — execute bit-identically
 until the first divergent firing: the rules are armed from cycle 0 on
 every point, but arming is invisible, and a rule's ``set`` payload
 cannot influence the machine before the commit boundary at which it
-first runs.  :func:`plan_fork` detects that situation by diffing the
-canonical dict form of every expanded point:
+first runs.  :func:`plan_fork_tree` detects that situation by diffing
+the canonical dict form of the expanded points:
 
 * a leaf difference under ``schedule.<i>.set.<knob>`` is tolerated iff
   the rule is otherwise identical across points (same label, trigger,
@@ -19,12 +19,10 @@ canonical dict form of every expanded point:
   shape behaviour from cycle 0 and disables sharing *between the
   points it separates*.
 
-:func:`plan_fork` is the all-or-nothing PR 5 planner: one snapshot at
-the minimum activation over all divergent leaves, valid for every
-point, or ``None``.  :func:`plan_fork_tree` generalizes it into a
-**prefix tree**: points are partitioned recursively — first by the
-divergences that are *not* schedule-settable (those separate groups
-that share nothing and each start from scratch), then, inside every
+The plan is a **prefix tree**: points are partitioned recursively —
+first by the divergences that are *not* schedule-settable (those
+separate groups that share nothing and each start from scratch), then,
+inside every
 group, by the earliest-activating settable divergence, which becomes a
 snapshot node.  A leaf restores from its *nearest ancestor* snapshot,
 so a 2-axis sweep where only one axis is schedule-settable still
@@ -45,15 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.scenario.sweep import ExpandedPoint
-
-
-@dataclass(frozen=True)
-class ForkPlan:
-    """A provably shared prefix: snapshot at ``fork_cycle`` and fork."""
-
-    fork_cycle: int
-    #: dotted leaf paths that diverge across points (all schedule sets)
-    divergent: tuple[str, ...]
 
 
 def _collect_diffs(a: Any, b: Any, path: tuple, out: set) -> None:
@@ -112,35 +101,6 @@ def _schedule_set_activation(
         if sorted(rule.get("set", {})) != head_keys:
             return None  # different knobs written, not just values
     return _rule_first_firing(head)
-
-
-def plan_fork(points: Sequence[ExpandedPoint]) -> Optional[ForkPlan]:
-    """A :class:`ForkPlan` when every point shares a non-empty prefix,
-    else ``None`` (run every point from scratch)."""
-    if len(points) < 2:
-        return None
-    dicts = [point.spec.to_dict() for point in points]
-    diffs: set[tuple] = set()
-    for other in dicts[1:]:
-        _collect_diffs(dicts[0], other, (), diffs)
-    if not diffs:
-        return None  # identical points; nothing to gain from forking
-    fork_cycle: Optional[int] = None
-    for path in diffs:
-        activation = _schedule_set_activation(path, dicts)
-        if activation is None or activation < 1:
-            return None
-        fork_cycle = (
-            activation if fork_cycle is None else min(fork_cycle, activation)
-        )
-    assert fork_cycle is not None
-    return ForkPlan(
-        fork_cycle=fork_cycle,
-        divergent=tuple(
-            ".".join(str(segment) for segment in path)
-            for path in sorted(diffs)
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +338,8 @@ def plan_fork_tree(points: Sequence[ExpandedPoint]) -> ForkTree:
     Always returns a tree; when nothing is shareable every leaf hangs
     off a structural root and ``shares_prefix`` is False (the executor
     then runs every point from scratch, exactly like ``fork=False``).
-    A single-axis schedule-value sweep reduces to the flat
-    :func:`plan_fork` plan: one root snapshot node at the same fork
-    cycle with one leaf per point.
+    A single-axis schedule-value sweep yields the flat shape: one root
+    snapshot node at the rule's first firing with one leaf per point.
     """
     dicts = [point.spec.to_dict() for point in points]
     labels = tuple(point.label for point in points)

@@ -50,11 +50,12 @@ class PointResult:
     def profile(self) -> Optional[list]:
         """Per-component ``(name, seconds, ticks)`` rows, slowest first.
 
-        Read from the metrics registry; None unless the point ran with
-        tick profiling enabled (``--profile``).
+        Stride-sampled estimates read from the metrics registry; None
+        unless the point ran with the flight recorder (``--profile`` or
+        trace recording).
         """
         metrics = self.metrics
-        if metrics is None or not metrics["gauges"].get("profile.enabled"):
+        if metrics is None:
             return None
         from repro.obs import profile_rows
 

@@ -488,13 +488,10 @@ def _elaborate_point(
     *,
     active_set: Optional[bool] = None,
     batched: Optional[bool] = None,
-    profile: bool = False,
 ) -> tuple[System, dict[str, Component]]:
     """Build a point's system with traffic, control, and warm caches."""
     spec = point.spec
     system = build_system(spec, active_set=active_set, batched=batched)
-    if profile:
-        system.sim.enable_profiling()
     generators = attach_traffic(system, spec)
     install_control(system, spec)
     for warm in spec.warm:
@@ -567,7 +564,7 @@ def run_point(
 
     spec = point.spec
     system, generators = _elaborate_point(
-        point, active_set=active_set, batched=batched, profile=profile
+        point, active_set=active_set, batched=batched
     )
     recorder = None
     if profile or record:

@@ -63,12 +63,22 @@ in the express phase between the tick and commit phases, and the component
 may leave the active set for the burst middle.  The order is torn down at
 the burst boundary (``last``) or cancelled the moment its guard sees a
 beat it does not own, which re-wakes the owner for per-beat stepping.
+
+Flight-recorder seam
+--------------------
+
+:meth:`Simulator.attach_recorder` hands the kernel a
+:class:`~repro.obs.FlightRecorder` without rebinding anything: the one
+:meth:`Simulator.step` body keeps its observation points — active-set
+occupancy, the sleep journal, and phase and per-component tick wall
+time on 1 in ``PHASE_STRIDE`` stepped cycles — behind
+``rec is not None`` tests, and wake sites attribute causes inline.  The
+recorder observes execution only (``DESIGN.md`` section 15).
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, Optional
 
@@ -219,9 +229,6 @@ class Simulator:
         self._express: list = []  # list[ExpressRoute], installation order
         self._wake_heap: list[tuple[int, int, Component]] = []
         self._wake_seq = 0
-        # Per-component tick-time accounting (``--profile``); None = off.
-        self._tick_seconds: Optional[dict] = None
-        self._tick_counts: Optional[dict] = None
         # Commit-boundary hooks: (cycle, seq, fn) fired after the commit
         # (and the watchers) of *cycle*.  The control plane's schedule
         # engine is built on these; see DESIGN.md section 8.
@@ -242,19 +249,14 @@ class Simulator:
         # default) keeps the detached hot path to the same single test.
         self._poll_fn: Optional[Callable[[], None]] = None
         self._poll_gate: object = None
-        # Flight-recorder seam (repro.obs): execution-side metrics and
-        # event journal, attached via attach_recorder().  None (the
-        # default) keeps every hot path to a single ``is None`` test —
-        # the same discipline as the poll seam above.  The recorder is
-        # never part of the snapshot contract (DESIGN.md section 15).
+        # Flight-recorder seam (repro.obs; DESIGN.md section 15): None
+        # keeps every observation point to one ``is None`` test.  Its
+        # journal is mirrored so per-event journal tests on frequent
+        # paths (span aborts, sleeps) cost one attribute load.  Never
+        # part of the snapshot contract.
         self._recorder = None
-        # The attached recorder's journal (or None), mirrored here so
-        # per-event journal tests on frequent paths (span aborts) cost
-        # one attribute load — the same price the detached path pays
-        # for its ``_recorder is None`` test.
         self._rec_journal = None
-        # True while _fire_hooks drains, so recorded wake() calls can
-        # attribute hook-raised transitions to the "hook" cause.
+        # True while _fire_hooks drains: wake() attributes to "hook".
         self._in_hooks = False
         # Snapshot state clients: objects owning commit-boundary hooks
         # (the schedule engine) or other non-component state (the bus
@@ -303,10 +305,8 @@ class Simulator:
         self._active.add(component)
         rec = self._recorder
         if rec is not None:
-            # Keep the preallocated occupancy histogram large enough for
-            # the grown active set (the recorded step indexes it bare)
-            # and the channel-wake counters guaranteed-hit (commit
-            # updates them with a bare subscript).
+            # step() and Channel.commit index these with bare
+            # subscripts: keep them sized and seeded.
             rec._occupancy.append(0)
             rec._channel_wakes[component] = 0
         return component
@@ -386,13 +386,10 @@ class Simulator:
         if rec is None:
             self._active.add(component)
             return
-        # Recorded: attribute genuine asleep -> awake transitions.
-        # Wakes raised while commit-boundary hooks run belong to the
-        # "hook" cause; any other direct call (an express-route
-        # boundary wake, an API write) is "direct".  Channel and timer
-        # wakes never pass through here while recorded — their sites
-        # attribute inline — so every transition is counted exactly
-        # once and the sleep counter can be derived from the total.
+        # Recorded: attribute genuine asleep -> awake transitions to
+        # "hook" while hooks drain, else "direct".  Channel and timer
+        # wakes attribute inline at their sites, so every transition
+        # is counted once and sleeps can be derived from the total.
         active = self._active
         if component not in active:
             active.add(component)
@@ -407,7 +404,8 @@ class Simulator:
         if component._sim is not self:
             return
         if cycle <= self.cycle:
-            self._active.add(component)
+            # Immediate: a plain wake, so a recorder attributes it.
+            self.wake(component)
             return
         self._wake_seq += 1
         heapq.heappush(self._wake_heap, (cycle, self._wake_seq, component))
@@ -425,25 +423,19 @@ class Simulator:
         The recorder collects execution-side metrics (wake causes,
         occupancy, phase wall time) and optionally journals events.  It
         is never captured by snapshots and never influences simulated
-        state or digests; while detached the hot path pays exactly one
-        ``is None`` test per step.
+        state or digests; :meth:`step` reads it from ``_recorder``, so
+        attaching rebinds nothing.
         """
         if self._recorder is not None:
             raise SimulationError("a flight recorder is already attached")
         self._recorder = recorder
         recorder.on_attach(self)
         self._rec_journal = recorder.journal
-        # Shadow the class method with a bound partial so ``sim.step()``
-        # lands directly in the recorded body — the recorded path then
-        # pays no dispatch test at all, and the detached path keeps its
-        # single ``is None`` test in the class method.
-        self.step = partial(self._step_recorded, recorder)
 
     def detach_recorder(self) -> None:
         """Detach the flight recorder (no-op when none is attached)."""
         self._recorder = None
         self._rec_journal = None
-        self.__dict__.pop("step", None)
 
     # ------------------------------------------------------------------
     # express routes (batched datapath)
@@ -475,37 +467,6 @@ class Simulator:
         # while stepping, so iterate over a snapshot.
         for order in tuple(self._express):
             order.step()
-
-    # ------------------------------------------------------------------
-    # profiling
-    # ------------------------------------------------------------------
-    def enable_profiling(self) -> None:
-        """Accumulate wall-clock tick time per component (for --profile)."""
-        if self._tick_seconds is None:
-            self._tick_seconds = {}
-            self._tick_counts = {}
-
-    def profile_report(self) -> list[tuple[str, float, int]]:
-        """``(component name, seconds, ticks)`` rows, slowest first."""
-        if not self._tick_seconds:
-            return []
-        counts = self._tick_counts or {}
-        rows = [
-            (name, seconds, counts.get(name, 0))
-            for name, seconds in self._tick_seconds.items()
-        ]
-        rows.sort(key=lambda row: row[1], reverse=True)
-        return rows
-
-    def _timed_tick(self, component: Component, cycle: int) -> None:
-        t0 = perf_counter()
-        component.tick(cycle)
-        name = component.name
-        elapsed = perf_counter() - t0
-        seconds = self._tick_seconds
-        seconds[name] = seconds.get(name, 0.0) + elapsed
-        counts = self._tick_counts
-        counts[name] = counts.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     # commit-boundary hooks
@@ -544,10 +505,6 @@ class Simulator:
             _fn(committed)
 
         self.call_at(cycle, fire)
-
-    def next_hook_cycle(self) -> Optional[int]:
-        """Cycle of the earliest pending hook, or ``None``."""
-        return self._hook_heap[0][0] if self._hook_heap else None
 
     # ------------------------------------------------------------------
     # run-loop poll seam
@@ -596,21 +553,15 @@ class Simulator:
         while heap and heap[0][0] <= committed:
             due.append(heapq.heappop(heap))
         rec = self._recorder
-        if rec is None:
+        if rec is not None:
+            rec._hooks_fired += len(due)
+        # While the drain runs, wake() attributes to the "hook" cause.
+        self._in_hooks = True
+        try:
             for _, _, fn in due:
                 fn(committed)
-        else:
-            # While the drain runs, wake() attributes transitions to
-            # the "hook" cause (see Simulator.wake); the flag costs one
-            # attribute read per recorded transition, and only on
-            # boundaries that had hooks due.
-            rec._hooks_fired += len(due)
-            self._in_hooks = True
-            try:
-                for _, _, fn in due:
-                    fn(committed)
-            finally:
-                self._in_hooks = False
+        finally:
+            self._in_hooks = False
 
     def _process_due_wakes(self, cycle: int) -> None:
         heap = self._wake_heap
@@ -636,33 +587,70 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation by exactly one cycle."""
-        rec = self._recorder
-        if rec is not None:
-            self._step_recorded(rec)
-            return
+        """Advance the simulation by exactly one cycle.
+
+        The one step body of both kernels: the ``active_set`` branches
+        keep the naive tick-everything path beside the active-set path
+        as its independent reference.  Flight-recorder observation
+        points sit behind ``rec is not None`` tests (see the module
+        docstring); ``timed`` reuses the per-tick test slot, so sampling
+        adds nothing per tick to the detached path.
+        """
         cycle = self.cycle
-        profiled = self._tick_seconds is not None
-        if self._active_set_enabled:
+        rec = self._recorder
+        journal = self._rec_journal
+        # Recorded steps are timed on 1 in PHASE_STRIDE cycles (phase
+        # and per-component tick wall time): perf_counter calls on every
+        # step would alone breach the recorder's <2% overhead gate, and
+        # shares are stable under uniform, cycle-keyed sampling.
+        timed = rec is not None and not cycle & rec._phase_mask
+        if timed:
+            t0 = perf_counter()
+        active_set = self._active_set_enabled
+        if active_set:
             if self._wake_heap:
                 self._process_due_wakes(cycle)
             active = self._active
+            if rec is not None:
+                # Preallocated to len(components) + 2 on attach; the
+                # active set can never outgrow the component list.
+                rec._occupancy[len(active)] += 1
             if active:
                 for component in self._components:
                     if component in active:
-                        if profiled:
-                            self._timed_tick(component, cycle)
+                        if timed:
+                            rec.timed_tick(component, cycle)
                         else:
                             component.tick(cycle)
                         self.ticks_executed += 1
                         if component.is_idle():
+                            # No sleep counter: the registry derives it
+                            # from wake attribution at snapshot time.
                             active.discard(component)
+                            if journal is not None:
+                                journal.append(
+                                    (cycle, "sleep", component.name)
+                                )
                     else:
                         self.ticks_skipped += 1
             else:
                 self.ticks_skipped += len(self._components)
-            if self._express:
-                self._run_express()
+        else:
+            if rec is not None:
+                rec._occupancy[len(self._components)] += 1
+            for component in self._components:
+                if timed:
+                    rec.timed_tick(component, cycle)
+                else:
+                    component.tick(cycle)
+                self.ticks_executed += 1
+        if timed:
+            t1 = perf_counter()
+        if self._express:
+            self._run_express()
+        if timed:
+            t2 = perf_counter()
+        if active_set:
             hot = self._hot_channels
             if hot:
                 cold = None
@@ -676,14 +664,6 @@ class Simulator:
                 if cold is not None:
                     hot.difference_update(cold)
         else:
-            for component in self._components:
-                if profiled:
-                    self._timed_tick(component, cycle)
-                else:
-                    component.tick(cycle)
-                self.ticks_executed += 1
-            if self._express:
-                self._run_express()
             for channel in self._channels:
                 channel.commit()
         if self._express:
@@ -696,103 +676,8 @@ class Simulator:
             watcher(cycle)
         if self._hook_heap:
             self._fire_hooks(cycle)
-
-    def _step_recorded(self, rec) -> None:
-        """One cycle with a flight recorder attached (``repro.obs``).
-
-        A shadow of :meth:`step` with observation points: active-set
-        occupancy, phase-split wall time, and sleep journal events.
-        Kept separate so the unrecorded hot path pays exactly one
-        ``is None`` test per step; any change to :meth:`step` must be
-        mirrored here (the digest-neutrality tests in ``test_obs.py``
-        lock the equivalence).
-        """
-        cycle = self.cycle
-        profiled = self._tick_seconds is not None
-        journal = rec.journal
-        # Phase wall-time is stride-sampled (1 in PHASE_STRIDE stepped
-        # cycles): four perf_counter calls on every step would alone
-        # breach the recorder's <2% overhead gate, and phase *shares*
-        # are stable under uniform sampling.
-        timed = not cycle & rec._phase_mask
-        occupancy = rec._occupancy
-        clock = perf_counter
-        t0 = clock() if timed else 0.0
-        if self._active_set_enabled:
-            if self._wake_heap:
-                self._process_due_wakes(cycle)
-            active = self._active
-            # Inline occupancy observation: the list is preallocated to
-            # len(components) + 2 on attach, and the active set can
-            # never outgrow the component list.
-            occupancy[len(active)] += 1
-            if active:
-                for component in self._components:
-                    if component in active:
-                        if profiled:
-                            self._timed_tick(component, cycle)
-                        else:
-                            component.tick(cycle)
-                        self.ticks_executed += 1
-                        if component.is_idle():
-                            # No sleep counter here: sleeps happen about
-                            # as often as wakes (~2 per cycle on a churny
-                            # workload), so the registry derives the
-                            # count from wake attribution at snapshot
-                            # time instead of paying a store per event.
-                            active.discard(component)
-                            if journal is not None:
-                                journal.append(
-                                    (cycle, "sleep", component.name)
-                                )
-                    else:
-                        self.ticks_skipped += 1
-            else:
-                self.ticks_skipped += len(self._components)
-            t1 = clock() if timed else 0.0
-            if self._express:
-                self._run_express()
-            t2 = clock() if timed else 0.0
-            hot = self._hot_channels
-            if hot:
-                cold = None
-                for channel in hot:
-                    channel.commit()
-                    if not channel._queue:
-                        if cold is None:
-                            cold = [channel]
-                        else:
-                            cold.append(channel)
-                if cold is not None:
-                    hot.difference_update(cold)
-        else:
-            occupancy[len(self._components)] += 1
-            for component in self._components:
-                if profiled:
-                    self._timed_tick(component, cycle)
-                else:
-                    component.tick(cycle)
-                self.ticks_executed += 1
-            t1 = clock() if timed else 0.0
-            if self._express:
-                self._run_express()
-            t2 = clock() if timed else 0.0
-            for channel in self._channels:
-                channel.commit()
-        if self._express:
-            for order in tuple(self._express):
-                order.after_commit()
-        self.cycle = cycle + 1
-        for watcher in self._watchers:
-            watcher(cycle)
-        if self._hook_heap:
-            self._fire_hooks(cycle)
         if timed:
-            t3 = clock()
-            phase = rec._phase
-            phase[0] += t1 - t0
-            phase[1] += t2 - t1
-            phase[2] += t3 - t2
+            rec.sample_phases(t0, t1, t2)
 
     def _fast_forward(self, target: int) -> None:
         """Jump the clock to *target* while the system is quiescent.
@@ -843,22 +728,7 @@ class Simulator:
 
     def run(self, cycles: int) -> int:
         """Run for *cycles* cycles; returns the new current cycle."""
-        end = self.cycle + cycles
-        while self.cycle < end:
-            if self._poll_gate:
-                self._poll_fn()
-            if self._quiescent():
-                target = self._next_stop(end)
-                if target > self.cycle:
-                    self._fast_forward(target)
-                    continue
-            elif (
-                self._span_enabled
-                and not self._watchers
-                and attempt_span(self, end)
-            ):
-                continue
-            self.step()
+        self._advance(self.cycle + cycles)
         return self.cycle
 
     def run_until(
@@ -878,27 +748,46 @@ class Simulator:
         with ``sim.cycle`` may be observed late.  Use :meth:`run` for
         time-based waits.
         """
-        deadline = self.cycle + max_cycles
-        while not predicate():
+        if not self._advance(self.cycle + max_cycles, predicate):
+            raise SimulationError(
+                f"timeout after {max_cycles} cycles waiting for {what}"
+            )
+        return self.cycle
+
+    def _advance(
+        self,
+        limit: int,
+        predicate: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """The one run loop behind :meth:`run` and :meth:`run_until`.
+
+        Advances until *predicate()* holds (without a predicate: until
+        the clock reaches *limit*) and returns True; returns False when
+        *limit* is reached first.  Each iteration polls, then jumps a
+        quiescent stretch, replays a span, or steps one cycle.  ``run``
+        and ``run_until`` never call each other, so wrappers around
+        either see each run exactly once.
+        """
+        while not (
+            predicate() if predicate is not None else self.cycle >= limit
+        ):
             if self._poll_gate:
                 self._poll_fn()
-            if self.cycle >= deadline:
-                raise SimulationError(
-                    f"timeout after {max_cycles} cycles waiting for {what}"
-                )
+            if self.cycle >= limit:
+                return False
             if self._quiescent():
-                target = self._next_stop(deadline)
+                target = self._next_stop(limit)
                 if target > self.cycle:
                     self._fast_forward(target)
                     continue
             elif (
                 self._span_enabled
                 and not self._watchers
-                and attempt_span(self, deadline)
+                and attempt_span(self, limit)
             ):
                 continue
             self.step()
-        return self.cycle
+        return True
 
     def reset(self) -> None:
         """Reset the clock, all components, and all channels."""
@@ -907,7 +796,9 @@ class Simulator:
             component.reset()
         for channel in self._channels:
             channel.reset()
-        self._active = set(self._components)
+        # Sleepers rejoin through wake() so a recorder attributes them.
+        for component in self._components:
+            self.wake(component)
         self._wake_heap.clear()
         self._hook_heap.clear()
         self._transient_hooks = 0

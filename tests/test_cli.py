@@ -317,6 +317,16 @@ def test_run_fork_flag_falls_back_cleanly(tiny_scenario, capsys):
     assert "fork-point execution" not in out
 
 
+def test_run_profile_prints_tick_time_table(tiny_scenario, capsys):
+    assert main(["run", str(tiny_scenario), "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "# tick-time profile" in out
+    header = out.index("# tick-time profile")
+    table = out[header:].splitlines()
+    assert table[1].split() == ["component", "share", "seconds", "ticks"]
+    assert len(table) > 2 and table[2].split()[1].endswith("%")
+
+
 # ----------------------------------------------------------------------
 # live telemetry
 # ----------------------------------------------------------------------

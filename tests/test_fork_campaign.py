@@ -12,7 +12,7 @@ from repro.scenario import (
     apply_smoke,
     expand,
     load_file,
-    plan_fork,
+    plan_fork_tree,
     run_campaign,
 )
 from repro.scenario.spec import validate
@@ -86,10 +86,12 @@ def _forkable_tree(**overrides):
 # plan detection
 # ----------------------------------------------------------------------
 def test_plan_detects_schedule_value_divergence():
-    plan = plan_fork(expand(validate(_forkable_tree())))
-    assert plan is not None
-    assert plan.fork_cycle == 400
-    assert all(path.startswith("schedule.0.set.") for path in plan.divergent)
+    tree = plan_fork_tree(expand(validate(_forkable_tree())))
+    assert tree.shares_prefix
+    assert tree.root.cycle == 400
+    assert all(
+        path.startswith("schedule.0.set.") for path in tree.root.divergent
+    )
 
 
 def test_plan_uses_earliest_divergent_firing():
@@ -103,16 +105,16 @@ def test_plan_uses_earliest_divergent_firing():
         "field": "schedule.early.set.traffic.dma.inter_burst_gap",
         "values": [0, 32],
     })
-    plan = plan_fork(expand(validate(tree)))
-    assert plan is not None
-    assert plan.fork_cycle == 150  # first firing of the periodic rule
+    plan = plan_fork_tree(expand(validate(tree)))
+    assert plan.shares_prefix
+    assert plan.root.cycle == 150  # first firing of the periodic rule
 
 
 def test_plan_refuses_topology_and_trigger_divergence():
     # Shipped fig6a sweeps the splitter granularity: topology diverges
     # at cycle 0, so no fork is provable.
     fig6a = apply_smoke(load_file(SCENARIO_DIR / "fig6a.toml"))
-    assert plan_fork(expand(fig6a)) is None
+    assert not plan_fork_tree(expand(fig6a)).shares_prefix
 
     # Divergent rule *triggers* (not just values) refuse too.
     tree = _forkable_tree()
@@ -122,7 +124,7 @@ def test_plan_refuses_topology_and_trigger_divergence():
             {"label": "b", "set": {"schedule.cut.at": 800}},
         ],
     }
-    assert plan_fork(expand(validate(tree))) is None
+    assert not plan_fork_tree(expand(validate(tree))).shares_prefix
 
     # Divergent rule presence (enabled flag) refuses.
     tree = _forkable_tree()
@@ -132,7 +134,7 @@ def test_plan_refuses_topology_and_trigger_divergence():
             {"label": "b"},
         ],
     }
-    assert plan_fork(expand(validate(tree))) is None
+    assert not plan_fork_tree(expand(validate(tree))).shares_prefix
 
 
 def test_plan_refuses_event_triggered_divergence():
@@ -142,7 +144,7 @@ def test_plan_refuses_event_triggered_divergence():
         "when": "realm.dma.region0.total_bytes >= 1",
         "set": {"realm.dma.region0.budget_bytes": 4096},
     }
-    assert plan_fork(expand(validate(tree))) is None
+    assert not plan_fork_tree(expand(validate(tree))).shares_prefix
 
 
 # ----------------------------------------------------------------------

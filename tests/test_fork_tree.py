@@ -1,10 +1,10 @@
 """Fork-tree campaign execution: grouped and hierarchical prefix
 sharing (DESIGN.md section 14).
 
-Planner units pin down the tree shapes — a single settable axis reduces
-to the flat PR 5 plan, two settable axes nest into a two-level tree,
-a mixed settable/non-settable sweep splits into scratch groups that
-each still snapshot — and that the shape is canonical (independent of
+Planner units pin down the tree shapes — a single settable axis yields
+the flat shape (one root snapshot, one leaf per point), two settable
+axes nest into a two-level tree, a mixed settable/non-settable sweep
+splits into scratch groups that each still snapshot — and that the shape is canonical (independent of
 sweep-axis file order).  Execution tests assert the contract that makes
 ``--fork`` safe to flip on blindly: reports byte-identical to scratch
 runs on every kernel/datapath combination, sequentially and over the
@@ -24,7 +24,6 @@ from repro.scenario import (
     apply_smoke,
     expand,
     load_file,
-    plan_fork,
     plan_fork_tree,
     run_campaign,
 )
@@ -131,14 +130,14 @@ def _shape(node):
 # ----------------------------------------------------------------------
 def test_single_settable_axis_reduces_to_flat_plan():
     points = expand(validate(_tree()))
-    flat = plan_fork(points)
     tree = plan_fork_tree(points)
-    assert flat is not None
     assert tree.shares_prefix and tree.snapshot_nodes == 1
-    assert tree.root.cycle == flat.fork_cycle == 400
+    assert tree.root.cycle == 400
     assert all(child.is_leaf for child in tree.root.children)
     assert len(tree.root.children) == len(points)
-    assert tree.root.divergent == flat.divergent
+    assert tree.root.divergent == (
+        "schedule.0.set.realm.dma.region0.budget_bytes",
+    )
     assert tree.labels == tuple(p.label for p in points)
 
 

@@ -16,16 +16,18 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
+    PHASE_STRIDE,
     EventJournal,
     FlightRecorder,
     MetricsRegistry,
     campaign_trace,
+    profile_rows,
 )
 from repro.realm import RegionConfig
 from repro.scenario import load_file, run_campaign
 from repro.scenario.runner import run_point
 from repro.scenario.sweep import apply_smoke, expand
-from repro.sim import SimulationError
+from repro.sim import Component, SimulationError, Simulator
 from repro.snapshot import capture_simulator, restore_simulator
 from repro.system import SystemBuilder
 from repro.traffic import DmaEngine
@@ -137,15 +139,19 @@ def test_double_attach_raises():
 
 
 def test_detach_restores_plain_dispatch():
+    bare = _small_system()
+    bare.sim.run(100)
     system = _small_system()
     sim = system.sim
-    recorder = FlightRecorder().attach(sim)
-    assert "step" in sim.__dict__  # recorded body bound directly
+    recorder = FlightRecorder(journal=True).attach(sim)
+    sim.run(50)
     recorder.detach()
     assert sim._recorder is None
     assert sim._rec_journal is None
-    assert "step" not in sim.__dict__
-    sim.run(50)  # plain path still runs
+    observed = len(recorder.journal)
+    sim.run(50)
+    assert len(recorder.journal) == observed  # nothing recorded after
+    assert capture_simulator(sim) == capture_simulator(bare.sim)
 
 
 def test_detached_simulator_pays_one_attribute():
@@ -186,6 +192,79 @@ def test_sleep_counter_matches_journal_exactly():
         if e[1] == "wake" and e[3] != "attach"
     )
     assert sum(wake_counters.values()) == journal_wakes
+
+
+class _Napper(Component):
+    """Ticks once per wake-up, then sleeps."""
+
+    def is_idle(self) -> bool:
+        return True
+
+
+def _journal_sleeps_wakes(recorder):
+    events = list(recorder.journal.events())
+    sleeps = sum(1 for e in events if e[1] == "sleep")
+    wakes = sum(1 for e in events if e[1] == "wake" and e[3] != "attach")
+    return sleeps, wakes
+
+
+def _assert_sleeps_derivable(recorder):
+    snap = recorder.snapshot()
+    sleeps, wakes = _journal_sleeps_wakes(recorder)
+    counted = sum(
+        v for k, v in snap["counters"].items() if k.startswith("wake.")
+    )
+    assert counted == wakes
+    assert snap["counters"]["kernel.sleeps"] == sleeps
+    return snap
+
+
+def test_immediate_wake_at_is_attributed():
+    # wake_at(c) with c <= sim.cycle wakes at once; from a hook that is
+    # a "hook" wake the recorder must see, or the trace would show
+    # sleeps with no wake before them.
+    sim = Simulator()
+    napper = sim.add(_Napper("napper"))
+    recorder = FlightRecorder(journal=True).attach(sim)
+    for at in (10, 20, 30, 40, 50):
+        sim.call_at(at, lambda _, s=sim: napper.wake_at(s.cycle))
+    sim.run(60)
+    assert _journal_sleeps_wakes(recorder) == (6, 5)
+    snap = _assert_sleeps_derivable(recorder)
+    assert snap["counters"]["wake.hook.napper"] == 5
+
+
+def test_reset_reactivation_is_attributed():
+    sim = Simulator()
+    sim.add(_Napper("napper"))
+    recorder = FlightRecorder(journal=True).attach(sim)
+    sim.run(5)
+    sim.reset()
+    sim.run(5)
+    assert _journal_sleeps_wakes(recorder) == (2, 1)
+    _assert_sleeps_derivable(recorder)
+
+
+def test_naive_kernel_samples_every_component_on_stride_cycles():
+    # The naive kernel ticks every component on every stepped cycle, so
+    # each component's sampled tick count is exactly the number of
+    # stepped cycles on the PHASE_STRIDE grid.
+    cycles = 5 * PHASE_STRIDE + 7
+    sim = Simulator(active_set=False)
+    names = ("a", "b", "c")
+    for name in names:
+        sim.add(_Napper(name))
+    recorder = FlightRecorder().attach(sim)
+    sim.run(cycles)
+    sampled = sum(1 for c in range(cycles) if c % PHASE_STRIDE == 0)
+    snap = recorder.snapshot()
+    for name in names:
+        assert snap["counters"][f"tick.{name}.ticks"] == (
+            sampled * PHASE_STRIDE
+        )
+        assert snap["counters"][f"tick.{name}.seconds"] > 0
+    rows = profile_rows(snap)
+    assert {name for name, _, _ in rows} == set(names)
 
 
 # ----------------------------------------------------------------------

@@ -153,13 +153,64 @@ def test_wake_at_schedules_timed_wakeup():
     assert timed.tick_cycles == [0, 7, 14, 21, 28]
 
 
-def test_fast_forward_skips_quiescent_stretches():
+# ----------------------------------------------------------------------
+# run loop: run and run_until share one loop; cover it from both
+# ----------------------------------------------------------------------
+ENTRIES = pytest.mark.parametrize("entry", ["run", "run_until"])
+
+
+def _advance(entry, sim, cycles):
+    """Advance *cycles* through *entry*.  ``run_until`` waits on a
+    predicate that never holds, so it stops at its deadline by raising
+    the timeout."""
+    if entry == "run":
+        assert sim.run(cycles) == sim.cycle
+        return
+    with pytest.raises(SimulationError, match="timeout"):
+        sim.run_until(lambda: False, max_cycles=cycles, what="never")
+
+
+@ENTRIES
+def test_fast_forward_skips_quiescent_stretches(entry):
     sim = Simulator()
     ch = Channel(sim, "inbox")
     sim.add(Sleeper(ch))
-    sim.run(10_000)
+    _advance(entry, sim, 10_000)
     assert sim.cycle == 10_000
     assert sim.cycles_fast_forwarded > 9_000
+
+
+@ENTRIES
+def test_run_loop_stops_exactly_at_limit(entry):
+    sim = Simulator()
+    counter = sim.add(Counter())
+    sim.add(Sleeper(Channel(sim, "inbox")))
+    _advance(entry, sim, 7)
+    assert sim.cycle == 7
+    assert counter.seen_cycles == list(range(7))
+
+
+@ENTRIES
+def test_poll_seam_runs_only_while_its_gate_is_open(entry):
+    sim = Simulator()
+    sim.add(Counter())
+    inbox = []
+    polls = []
+
+    def poll():
+        polls.append(sim.cycle)
+        inbox.clear()
+
+    sim.set_poll(poll, gate=inbox)
+    _advance(entry, sim, 5)
+    assert polls == []  # closed gate: the callback never runs
+    inbox.append("command")
+    _advance(entry, sim, 5)
+    assert polls == [5]  # once, at the first commit boundary it saw
+    sim.clear_poll()
+    inbox.append("command")
+    _advance(entry, sim, 5)
+    assert polls == [5]
 
 
 def test_fast_forward_still_runs_watchers_every_cycle():
