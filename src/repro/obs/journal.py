@@ -21,9 +21,12 @@ Event vocabulary (every event is a tuple starting ``(cycle, kind)``):
                              (``wake_at``), ``"hook"`` (woken from a
                              ``call_at`` hook), ``"direct"`` (an explicit
                              ``wake()`` call — an express-route boundary,
-                             an API write) or ``"attach"`` (already
-                             active when the recorder attached)
-``("sleep", name)``          component declared idle and left the active set
+                             an API write), ``"restore"`` (a snapshot
+                             restore put it back in the active set) or
+                             ``"attach"`` (already active when the
+                             recorder attached)
+``("sleep", name)``          component declared idle and left the active
+                             set, or a snapshot restore removed it
 ``("span", n, k)``           span replay advanced ``n`` cycles with ``k``
                              participating components
 ``("span_abort", cause, refuser)``  span negotiation failed; *refuser* is

@@ -5,7 +5,7 @@ A :class:`FlightRecorder` attaches to a
 collects execution-side measurements while the run proceeds:
 
 * wake-cause attribution per component (channel commit vs ``wake_at``
-  timer vs ``call_at`` hook),
+  timer vs ``call_at`` hook vs direct call vs snapshot restore),
 * an active-set occupancy histogram (one observation per stepped cycle),
 * phase-split wall time (tick / express / commit / snapshot) and
   per-component tick time, stride-sampled on 1 in :data:`PHASE_STRIDE`
@@ -60,7 +60,7 @@ class FlightRecorder:
             EventJournal(journal_capacity) if journal else None
         )
         # Hot-path accumulators (folded into the registry on snapshot).
-        self._wakes: dict = {}  # (name, cause) -> count, timer/hook only
+        self._wakes: dict = {}  # (name, cause) -> count, all but channel
         # Channel wakes are ~per-cycle-frequent (every listener rejoining
         # on a commit), so they get the cheapest possible store: a dict
         # pre-seeded with every component at attach time, updated inline
@@ -118,9 +118,9 @@ class FlightRecorder:
     # kernel hot-path hooks (called only while attached)
     # ------------------------------------------------------------------
     def wake_event(self, name: str, cause: str, cycle: int) -> None:
-        """One component transitioned asleep -> awake (timer, hook, and
-        direct-call paths; channel wakes are accounted inline by
-        ``Channel.commit``)."""
+        """One component transitioned asleep -> awake (timer, hook,
+        direct-call, and restore paths; channel wakes are accounted
+        inline by ``Channel.commit``)."""
         key = (name, cause)
         wakes = self._wakes
         wakes[key] = wakes.get(key, 0) + 1
@@ -167,6 +167,23 @@ class FlightRecorder:
         journal = self.journal
         if journal is not None:
             journal.append((cycle, "express", action, order.owner.name))
+
+    def active_restored(self, previous, cycle: int) -> None:
+        """A snapshot restore replaced the active set wholesale.
+
+        Every component it added counts as a ``"restore"`` wake and every
+        one it removed is journaled as a sleep, in registration order, so
+        derived sleeps keep matching the journal across a rewind.
+        """
+        sim = self.sim
+        active = sim._active
+        journal = self.journal
+        for component in sim._components:
+            if component in active:
+                if component not in previous:
+                    self.wake_event(component.name, "restore", cycle)
+            elif component in previous and journal is not None:
+                journal.append((cycle, "sleep", component.name))
 
     def snapshot_event(self, action: str, cycle: int, seconds: float) -> None:
         if action == "capture":
@@ -223,10 +240,9 @@ class FlightRecorder:
         # started (active at attach + attributed wakes) - still active.
         # Counting per event would cost an attribute store on a
         # ~2-per-cycle path.  Every wake path (commit, timer, hook,
-        # direct ``Simulator.wake``, ``wake_at`` of a past cycle, reset)
-        # is attributed; only a snapshot restore replaces the active set
-        # wholesale.  The journal, when enabled, records the exact
-        # per-event sequence.
+        # direct ``Simulator.wake``, ``wake_at`` of a past cycle, reset,
+        # snapshot restore) is attributed.  The journal, when enabled,
+        # records the exact per-event sequence.
         if sim is not None:
             counter("kernel.sleeps").value = max(
                 self._attach_active + wake_total - len(sim._active), 0

@@ -105,7 +105,7 @@ class Channel(Generic[T]):
             raise SimulationError(f"send on full channel {self.name!r}")
         self._pending.append(item)
         self._sent_total += 1
-        self._sim.mark_hot(self)
+        self._sim._hot_channels.add(self)
         if self._tracer is not None:
             self._tracer.on_send(self, item)
 
@@ -128,7 +128,7 @@ class Channel(Generic[T]):
             )
         self._pending.extend(items)
         self._sent_total += len(items)
-        self._sim.mark_hot(self)
+        self._sim._hot_channels.add(self)
         if self._tracer is not None:
             for item in items:
                 self._tracer.on_send(self, item)
@@ -152,7 +152,7 @@ class Channel(Generic[T]):
             raise SimulationError(f"recv on empty channel {self.name!r}")
         self._recv_total += 1
         item = self._queue.popleft()
-        self._sim.mark_hot(self)
+        self._sim._hot_channels.add(self)
         if self._tracer is not None:
             self._tracer.on_recv(self, item)
         return item
@@ -173,7 +173,7 @@ class Channel(Generic[T]):
             return []
         out = [queue.popleft() for _ in range(n)]
         self._recv_total += n
-        self._sim.mark_hot(self)
+        self._sim._hot_channels.add(self)
         if self._tracer is not None:
             for item in out:
                 self._tracer.on_recv(self, item)
@@ -243,25 +243,21 @@ class Channel(Generic[T]):
         self._snapshot = occupancy
         if occupancy:
             self._busy_cycles += 1
-        # Recorded path: same wake() semantics inlined (foreign-sim
-        # listeners skipped, adds idempotent), but only genuine
-        # asleep -> awake transitions reach the recorder — the counters
-        # measure scheduling work, not redundant wake requests.  These
+        # Simulator.wake() semantics inlined (foreign-sim listeners
+        # skipped), on a path shared with the recorder: only genuine
+        # asleep -> awake transitions are counted — the counters measure
+        # scheduling work, not redundant wake requests.  These
         # transitions are per-cycle-frequent on churny workloads, so
         # the accounting is two subscripts into a dict the recorder
         # pre-seeded with every component — no method call, no .get().
         if new_beats and self._recv_listeners:
             sim = self._sim
-            rec = sim._recorder
-            if rec is None:
-                wake = sim.wake
-                for component in self._recv_listeners:
-                    wake(component)
-            else:
-                active = sim._active
-                for component in self._recv_listeners:
-                    if component._sim is sim and component not in active:
-                        active.add(component)
+            active = sim._active
+            for component in self._recv_listeners:
+                if component._sim is sim and component not in active:
+                    active.add(component)
+                    rec = sim._recorder
+                    if rec is not None:
                         rec._channel_wakes[component] += 1
                         journal = sim._rec_journal
                         if journal is not None:
@@ -270,16 +266,12 @@ class Channel(Generic[T]):
                             )
         if space_freed and self._send_listeners:
             sim = self._sim
-            rec = sim._recorder
-            if rec is None:
-                wake = sim.wake
-                for component in self._send_listeners:
-                    wake(component)
-            else:
-                active = sim._active
-                for component in self._send_listeners:
-                    if component._sim is sim and component not in active:
-                        active.add(component)
+            active = sim._active
+            for component in self._send_listeners:
+                if component._sim is sim and component not in active:
+                    active.add(component)
+                    rec = sim._recorder
+                    if rec is not None:
                         rec._channel_wakes[component] += 1
                         journal = sim._rec_journal
                         if journal is not None:

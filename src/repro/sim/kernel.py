@@ -64,6 +64,19 @@ may leave the active set for the burst middle.  The order is torn down at
 the burst boundary (``last``) or cancelled the moment its guard sees a
 beat it does not own, which re-wakes the owner for per-beat stepping.
 
+Span replay
+-----------
+
+On top of both optimised paths, ``span_replay=True`` (the default) lets
+the run loop replay provably linear steady states in closed form
+(:func:`~repro.sim.span.attempt_span`, ``DESIGN.md`` section 11) before
+falling back to :meth:`Simulator.step`.  The kernel keeps the state that
+makes a failed negotiation cheap: the components registered without
+``span_offer`` (tested against the active set in one ``isdisjoint``),
+the last refuser (asked first next time), and the last opaque veto —
+while that component stays awake the run loop skips the attempt, which
+could only abort.
+
 Flight-recorder seam
 --------------------
 
@@ -272,7 +285,13 @@ class Simulator:
         self.spans_entered = 0
         self.span_cycles_replayed = 0
         self.span_aborts: dict = {}
+        # Negotiation state (repro.sim.span): the last refuser, asked
+        # first next time; the components without ``span_offer`` in
+        # registration order; and the last opaque veto, which skips
+        # attempts while it stays awake.
         self._span_probe: Optional[Component] = None
+        self._opaque: list[Component] = []
+        self._span_veto: Optional[Component] = None
 
     # ------------------------------------------------------------------
     # registration
@@ -303,6 +322,8 @@ class Simulator:
         self._components.append(component)
         component._sim = self
         self._active.add(component)
+        if not hasattr(component, "span_offer"):
+            self._opaque.append(component)
         rec = self._recorder
         if rec is not None:
             # step() and Channel.commit index these with bare
@@ -409,10 +430,6 @@ class Simulator:
             return
         self._wake_seq += 1
         heapq.heappush(self._wake_heap, (cycle, self._wake_seq, component))
-
-    def mark_hot(self, channel) -> None:
-        """Called by channels on send/recv; schedules the commit."""
-        self._hot_channels.add(channel)
 
     # ------------------------------------------------------------------
     # flight recorder (repro.obs)
@@ -764,9 +781,11 @@ class Simulator:
         Advances until *predicate()* holds (without a predicate: until
         the clock reaches *limit*) and returns True; returns False when
         *limit* is reached first.  Each iteration polls, then jumps a
-        quiescent stretch, replays a span, or steps one cycle.  ``run``
-        and ``run_until`` never call each other, so wrappers around
-        either see each run exactly once.
+        quiescent stretch, replays a span, or steps one cycle.  A span
+        attempt is skipped while the component that vetoed the last one
+        as opaque is still awake: it would veto again.  ``run`` and
+        ``run_until`` never call each other, so wrappers around either
+        see each run exactly once.
         """
         while not (
             predicate() if predicate is not None else self.cycle >= limit
@@ -783,6 +802,7 @@ class Simulator:
             elif (
                 self._span_enabled
                 and not self._watchers
+                and self._span_veto not in self._active
                 and attempt_span(self, limit)
             ):
                 continue
@@ -816,6 +836,7 @@ class Simulator:
         self.span_cycles_replayed = 0
         self.span_aborts = {}
         self._span_probe = None
+        self._span_veto = None
         for fn in self._reset_hooks:
             fn()
 

@@ -24,11 +24,14 @@ A component opts in by implementing ``span_offer(cycle, bound)``:
   closure that advances the component's internal state by ``n`` cycles in
   closed form — bit-identical to ``n`` per-beat ticks.
 
-``bound`` is the number of cycles the kernel can use at most (the
-running minimum over the window clamp and the horizons already
-collected); a component whose horizon needs a per-beat scan may stop
-scanning at ``bound`` — claiming *less* than it could sustain is always
-safe, claiming more than it can is never.
+``bound`` is the number of cycles the kernel can use at most; a
+component whose horizon needs a per-beat scan may stop scanning at
+``bound`` — claiming *less* than it could sustain is always safe,
+claiming more than it can is never.  Only the horizon may depend on
+``bound``: whether an offer is made, its flows, and their templates
+must not, because the kernel proves a span with ``bound=MIN_SPAN``
+offers and re-asks for a longer horizon only once the span has passed
+every check.
 
 The kernel (:func:`attempt_span`) accepts the offers only if they stitch
 into a closed system: every channel touched by a flow must have exactly
@@ -125,16 +128,58 @@ def _abort(sim, cause: str, refuser=None) -> bool:
     return False
 
 
+def _refusal(offer) -> Optional[str]:
+    """The abort cause one offer proves on its own evidence, or None.
+
+    Every test here is one the stitch check would repeat over the whole
+    flow set, so rejecting early never changes whether a span happens.
+    """
+    if offer is None:
+        return "no_offer"
+    if offer.horizon < MIN_SPAN:
+        return "short"
+    for flow in offer.flows:
+        for channel in (flow.src, flow.dst):
+            if channel is not None and (
+                channel._tracer is not None
+                or not 1 <= len(channel._queue) < channel.capacity
+            ):
+                return "stitch"
+    return None
+
+
 def attempt_span(sim, limit: int) -> bool:
     """Negotiate and execute one span ending no later than *limit*.
 
     Returns ``True`` if a span was applied (the clock has advanced),
     ``False`` if the system is not in a provably linear state — the
-    caller then falls back to :meth:`Simulator.step`.
+    caller then falls back to :meth:`Simulator.step`.  Checks run
+    cheapest first and every failure stops at the first check that
+    fails; per-beat horizon scans run only for a span already proven
+    (DESIGN.md section 11).
     """
     cycle = sim.cycle
     active = sim._active
     n_max = limit - cycle
+    hooks = sim._hook_heap
+    if hooks:
+        # A hook due at cycle C fires at the C -> C+1 boundary; the span
+        # may cover C but not jump past the boundary.
+        n_max = min(n_max, hooks[0][0] + 1 - cycle)
+    if n_max < MIN_SPAN:
+        return _abort(sim, "window")
+
+    # Every active component must vouch for its own linearity.  One
+    # without the protocol (a core executing, an arbitrating
+    # interconnect) vetoes the span; the kernel skips further attempts
+    # while that veto stays awake.
+    opaque = sim._opaque
+    if not active.isdisjoint(opaque):
+        for component in opaque:
+            if component in active:
+                sim._span_veto = component
+                return _abort(sim, "opaque", component)
+
     # A wake scheduled by a *sleeping* component is a real event: the
     # component rejoins the active set on that cycle, so the span must
     # end there.  A wake belonging to an already-active component is
@@ -145,66 +190,64 @@ def attempt_span(sim, limit: int) -> bool:
         if wake_cycle - cycle < n_max and component not in active \
                 and component._sim is sim:
             n_max = wake_cycle - cycle
-    if sim._hook_heap:
-        # A hook due at cycle C fires at the C -> C+1 boundary; the span
-        # may cover C but not jump past the boundary.
-        n_max = min(n_max, sim._hook_heap[0][0] + 1 - cycle)
     if n_max < MIN_SPAN:
         return _abort(sim, "window")
 
-    # Every active component must vouch for its own linearity.  A single
-    # component without the protocol (a core executing, an arbitrating
-    # interconnect) vetoes the span for this cycle.
-    for component in active:
-        if not hasattr(component, "span_offer"):
-            return _abort(sim, "opaque", component)
+    # Installed express orders join the span as relay flows: the order
+    # moves its source head one hop per cycle, unchanged until a burst
+    # boundary or a guard rejection.  The boundary needs no offers, so
+    # it is checked here; the flows are built once the offers pass.
+    express = sim._express
+    for order in express:
+        queue = order.src._queue
+        if queue:
+            head = queue[0]
+            if head.last or (
+                order.guard is not None and not order.guard(head)
+            ):
+                return _abort(sim, "boundary")
 
-    # The component that refused last time is the most likely refuser
-    # now (boundary churn lasts several cycles); asking it first makes a
-    # failed negotiation cost one call instead of one per participant.
+    # Phase 1: prove the span with MIN_SPAN-bounded offers, so horizon
+    # scans stop after MIN_SPAN beats.  The component that refused last
+    # time is the most likely refuser now (boundary churn lasts several
+    # cycles): it is asked first, and its offer is reused below.
     probe = sim._span_probe
+    probe_offer = None
     if probe is not None and probe in active:
-        if probe.span_offer(cycle, n_max) is None:
-            return _abort(sim, "no_offer", probe)
-        sim._span_probe = None
-
+        probe_offer = probe.span_offer(cycle, MIN_SPAN)
+        cause = _refusal(probe_offer)
+        if cause is not None:
+            return _abort(sim, cause, probe)
+    owners = []
     offers = []
-    participants = set()
-    horizon = n_max
+    flows = []
     for component in sim._components:
         if component not in active:
             continue
-        offer = component.span_offer(cycle, horizon)
-        if offer is None:
-            sim._span_probe = component
-            return _abort(sim, "no_offer", component)
+        if component is probe:
+            offer = probe_offer
+        else:
+            offer = component.span_offer(cycle, MIN_SPAN)
+            cause = _refusal(offer)
+            if cause is not None:
+                sim._span_probe = component
+                return _abort(sim, cause, component)
+        owners.append(component)
         offers.append(offer)
-        participants.add(component)
-        if offer.horizon < horizon:
-            horizon = offer.horizon
-
-    flows = [flow for offer in offers for flow in offer.flows]
-
-    # Installed express orders join the span as relay flows: the order
-    # moves its source head one hop per cycle, unchanged until a burst
-    # boundary or a guard rejection.
-    for order in sim._express:
+        flows.extend(offer.flows)
+    for order in express:
         queue = order.src._queue
-        if not queue:
-            continue
-        head = queue[0]
-        if head.last or (order.guard is not None and not order.guard(head)):
-            return _abort(sim, "boundary")
-        out = head if order.transform is None else order.transform(head)
-        flows.append(SpanFlow(order.src, order.dst, head, out))
+        if queue:
+            head = queue[0]
+            out = head if order.transform is None else order.transform(head)
+            flows.append(SpanFlow(order.src, order.dst, head, out))
 
     if not flows:
         return _abort(sim, "no_flows")
-    if horizon < MIN_SPAN:
-        return _abort(sim, "short")
 
     # Stitch check: the flows must close over every touched channel with
-    # a steady, value-uniform queue and no out-of-span observer.
+    # a steady, value-uniform queue and no out-of-span observer.  Every
+    # active component offered, so the participants are the active set.
     producers: dict = {}
     consumers: dict = {}
     for flow in flows:
@@ -230,14 +273,28 @@ def attempt_span(sim, limit: int) -> bool:
             if getattr(beat, "last", False) or beat != template:
                 return _abort(sim, "stitch")
         for listener in channel._recv_listeners:
-            if listener not in participants:
+            if listener not in active:
                 return _abort(sim, "listener", listener)
         for listener in channel._send_listeners:
-            if listener not in participants:
+            if listener not in active:
                 return _abort(sim, "listener", listener)
 
+    # Phase 2: extend the proven span.  A horizon above MIN_SPAN was not
+    # cut by the phase-1 bound; one at MIN_SPAN may have been, so that
+    # offer is re-asked with the running minimum as its bound (once the
+    # minimum is down to MIN_SPAN no re-ask can lengthen the span).
+    # Flows and templates do not depend on the bound: the stitch holds.
+    n = n_max
+    for offer in offers:
+        if MIN_SPAN < offer.horizon < n:
+            n = offer.horizon
+    for index, offer in enumerate(offers):
+        if offer.horizon <= MIN_SPAN < n:
+            offer = offers[index] = owners[index].span_offer(cycle, n)
+            if offer.horizon < n:
+                n = offer.horizon
+
     # --- commit the span -------------------------------------------------
-    n = horizon
     sim.cycle = cycle + n
     for offer in offers:
         offer.apply(n)
@@ -255,7 +312,7 @@ def attempt_span(sim, limit: int) -> bool:
     sim.span_cycles_replayed += n
     rec = sim._recorder
     if rec is not None:
-        rec.span_commit(cycle, n, len(participants))
+        rec.span_commit(cycle, n, len(offers))
     if sim._hook_heap:
         # n_max capped the span at the earliest hook's boundary, so at
         # most the hooks of the just-committed cycle are due.

@@ -174,7 +174,10 @@ def restore_simulator(sim, tree: dict) -> None:
     components = sim._components
     channels = sim._channels
     sim.cycle = state["cycle"]
+    previous = sim._active
     sim._active = {components[i] for i in kernel["active"]}
+    if rec is not None:
+        rec.active_restored(previous, sim.cycle)
     heap = [
         (cycle, seq, components[i]) for cycle, seq, i in kernel["wake_heap"]
     ]

@@ -102,7 +102,7 @@ def recv_message(
     if pending:
         # feed(b"") cannot complete a new message unless one was already
         # whole in the buffer — return it before blocking again.
-        return pending[0]
+        return _first(decoder, pending)
     while True:
         try:
             chunk = sock.recv(65536)
@@ -116,9 +116,17 @@ def recv_message(
             return None
         messages = decoder.feed(chunk)
         if messages:
-            if len(messages) > 1:
-                # Stash the extras back for the next call by re-feeding
-                # their encoded form ahead of the buffered remainder.
-                rest = b"".join(encode_message(m) for m in messages[1:])
-                decoder._buffer[:0] = rest
-            return messages[0]
+            return _first(decoder, messages)
+
+
+def _first(decoder: MessageDecoder, messages: list[dict]) -> dict:
+    """Return the first of *messages* and stash the rest back.
+
+    ``feed`` removes every whole message it returns from the buffer, so
+    the extras are re-fed, encoded, ahead of the buffered remainder; a
+    dropped extra would be a lost frame.
+    """
+    if len(messages) > 1:
+        rest = b"".join(encode_message(m) for m in messages[1:])
+        decoder._buffer[:0] = rest
+    return messages[0]

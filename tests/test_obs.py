@@ -245,6 +245,72 @@ def test_reset_reactivation_is_attributed():
     _assert_sleeps_derivable(recorder)
 
 
+def test_restore_rewind_keeps_sleeps_derivable():
+    # A restore replaces the active set wholesale: the components it
+    # adds are attributed to the "restore" wake cause and the ones it
+    # drops are journaled as sleeps, so the derivation survives rewinds.
+    sim = Simulator()
+    napper = sim.add(_Napper("napper"))
+    sim.add(_Napper("other"))
+    recorder = FlightRecorder(journal=True).attach(sim)
+    awake = capture_simulator(sim)
+    sim.run(5)
+    asleep = capture_simulator(sim)
+    restore_simulator(sim, awake)  # both rejoin
+    sim.run(5)
+    napper.wake()
+    restore_simulator(sim, asleep)  # napper leaves
+    assert _journal_sleeps_wakes(recorder) == (5, 3)
+    snap = _assert_sleeps_derivable(recorder)
+    assert snap["counters"]["wake.restore.napper"] == 1
+    assert snap["counters"]["wake.restore.other"] == 1
+
+
+def test_rewound_stream_keeps_sleeps_derivable():
+    system = _small_system()
+    sim = system.sim
+    recorder = FlightRecorder(journal=True).attach(sim)
+    sim.run(300)
+    tree = capture_simulator(sim)
+    sim.run(437)
+    restore_simulator(sim, tree)
+    sim.run(200)
+    assert recorder.journal.dropped == 0
+    _assert_sleeps_derivable(recorder)
+
+
+class _Awake(Component):
+    """No span protocol; awake until cycle *until*."""
+
+    def __init__(self, name: str, until: int) -> None:
+        super().__init__(name)
+        self.until = until
+        self.cycle = 0
+
+    def tick(self, cycle: int) -> None:
+        self.cycle = cycle
+
+    def is_idle(self) -> bool:
+        return self.cycle + 1 >= self.until
+
+
+def test_opaque_abort_names_first_registered_awake_unit():
+    # Several opaque components awake at once: the journal must name the
+    # first in registration order, never whichever one a hash-ordered
+    # set happens to yield first.  Each veto holds until it sleeps.
+    for _ in range(5):
+        sim = Simulator()
+        for i in range(6):
+            sim.add(_Awake(f"u{i}", until=10 * (i + 1)))
+        recorder = FlightRecorder(journal=True).attach(sim)
+        sim.run(100)
+        aborts = [
+            (e[0], e[2], e[3]) for e in recorder.journal.events()
+            if e[1] == "span_abort"
+        ]
+        assert aborts == [(10 * i, "opaque", f"u{i}") for i in range(6)]
+
+
 def test_naive_kernel_samples_every_component_on_stride_cycles():
     # The naive kernel ticks every component on every stepped cycle, so
     # each component's sampled tick count is exactly the number of

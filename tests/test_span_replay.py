@@ -6,7 +6,11 @@ fragment granularities, finite budgets that exhaust mid-stream, period
 edges crossing running spans, write buffer on/off — through the same
 horizon with span replay enabled and disabled, and diffs every
 observable.  The targeted tests pin the negotiation machinery itself:
-abort taxonomy, hook clamping, probe publication, and profile stats.
+abort taxonomy, hook clamping, probe publication, and profile stats;
+synthetic components pin its cost shape — failed attempts never scan
+past ``MIN_SPAN``, the memoized refuser is asked once, phase 2 re-asks
+only offers the phase-1 bound may have cut, and an awake opaque
+component costs one attempt, not one per cycle.
 """
 
 from __future__ import annotations
@@ -17,11 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.realm import RegionConfig
+import repro.sim.kernel as kernel
+from repro.mem import CacheLLC, SramMemory
+from repro.realm import RealmUnit, RegionConfig
 from repro.realm.config import RealmUnitParams
 from repro.scenario import apply_smoke, expand, load_file, run_point
-from repro.sim import Simulator
-from repro.sim.span import MIN_SPAN
+from repro.sim import Channel, Component, Simulator
+from repro.sim.span import (
+    MIN_SPAN,
+    UNBOUNDED,
+    SpanOffer,
+    attempt_span,
+    relay,
+)
 from repro.system import SystemBuilder
 from repro.traffic import DmaEngine
 
@@ -173,6 +185,7 @@ def test_reset_clears_span_state():
     assert system.sim.span_cycles_replayed == 0
     assert system.sim.span_aborts == {}
     assert system.sim._span_probe is None
+    assert system.sim._span_veto is None
     assert system.realm("dma").span_hits == 0
     assert system.realm("dma").span_cycles == 0
 
@@ -241,3 +254,214 @@ def test_span_stats_absent_without_profile():
     spec = apply_smoke(load_file(SCENARIO_DIR / "stream_steady.toml"))
     point = expand(spec)[0]
     assert run_point(point).span_stats is None
+
+
+def _smoke_stream_runs():
+    spec = apply_smoke(load_file(SCENARIO_DIR / "stream_steady.toml"))
+    from repro.scenario.runner import _elaborate_point, _execute_run
+
+    for point in expand(spec):
+        system, generators = _elaborate_point(
+            point, active_set=True, batched=True
+        )
+        yield point, system, lambda s=system, p=point, g=generators: (
+            _execute_run(s, p.spec, p.label, g)
+        )
+
+
+def test_smoke_stream_steady_span_coverage_is_pinned():
+    """Negotiation is an execution strategy, but a change to it must
+    not silently lose spans: the smoke showcase keeps its coverage."""
+    coverage = {}
+    for point, system, run in _smoke_stream_runs():
+        run()
+        coverage[point.label] = (
+            system.sim.spans_entered, system.sim.span_cycles_replayed
+        )
+    assert coverage == {"uncapped": (80, 7266), "budget=8k": (53, 6166)}
+
+
+def test_offer_flows_do_not_depend_on_bound():
+    """The two-phase contract: whether a component offers, and which
+    flows it offers, is the same at ``bound=MIN_SPAN`` as at a large
+    bound — only the horizon may differ, and never upward."""
+    offered = set()
+    mismatches = []
+    for _point, system, run in _smoke_stream_runs():
+        for component in system.sim.components:
+            if not hasattr(component, "span_offer"):
+                continue
+
+            def checked(cycle, bound, _offer=component.span_offer):
+                small = _offer(cycle, MIN_SPAN)
+                large = _offer(cycle, UNBOUNDED)
+                if (small is None) != (large is None):
+                    mismatches.append((cycle, type(_offer.__self__)))
+                elif small is not None:
+                    offered.add(type(_offer.__self__))
+                    if (
+                        small.flows != large.flows
+                        or small.horizon > large.horizon
+                        or min(small.horizon, MIN_SPAN)
+                        != min(large.horizon, MIN_SPAN)
+                    ):
+                        mismatches.append((cycle, type(_offer.__self__)))
+                return _offer(cycle, bound)
+
+            component.span_offer = checked
+        run()
+    assert mismatches == []
+    assert offered == {RealmUnit, DmaEngine, CacheLLC, SramMemory}
+
+
+# ----------------------------------------------------------------------
+# negotiation cost shape, on synthetic components
+# ----------------------------------------------------------------------
+class _Looper(Component):
+    """Sustains one self-loop flow on its own channel.
+
+    The natural horizon is *natural*; a scanner claims at most *bound*
+    (like the SRAM and LLC, which scan beat templates up to it).  Every
+    ``span_offer`` call is logged as ``(cycle, bound)``.
+    """
+
+    def __init__(self, sim, name, natural=UNBOUNDED, scanner=False):
+        super().__init__(name)
+        self.natural = natural
+        self.scanner = scanner
+        self.refuse = False
+        self.flowing = True
+        self.asks = []
+        self.applied = []
+        self.channel = Channel(sim, f"{name}.loop")
+        self.channel.send("beat")
+        self.channel.commit()
+        sim.add(self)
+
+    def span_offer(self, cycle, bound):
+        self.asks.append((cycle, bound))
+        if self.refuse:
+            return None
+        ask = len(self.asks)
+        horizon = min(self.natural, bound) if self.scanner else self.natural
+        flows = (relay(self.channel, self.channel, "beat"),)
+        return SpanOffer(
+            flows=flows if self.flowing else (),
+            horizon=horizon,
+            apply=lambda n: self.applied.append((ask, n)),
+        )
+
+
+class _Opaque(Component):
+    """No ``span_offer``; awake until cycle *until*."""
+
+    def __init__(self, name, until=UNBOUNDED):
+        super().__init__(name)
+        self.until = until
+        self.cycle = 0
+
+    def tick(self, cycle):
+        self.cycle = cycle
+
+    def is_idle(self):
+        return self.cycle + 1 >= self.until
+
+
+@pytest.mark.parametrize("failure", ["no_offer", "short", "stitch",
+                                     "listener", "no_flows"])
+def test_failed_negotiation_never_scans_past_min_span(failure):
+    sim = Simulator()
+    scanner = _Looper(sim, "scanner", natural=500, scanner=True)
+    other = _Looper(sim, "other", natural=300)
+    if failure == "no_offer":
+        other.refuse = True
+    elif failure == "short":
+        other.natural = MIN_SPAN - 1
+    elif failure == "stitch":
+        other.channel.send("beat")  # occupancy 2 of 2: full
+        other.channel.commit()
+    elif failure == "listener":
+        sleeper = sim.add(Component("sleeper"))
+        sim._active.discard(sleeper)
+        other.channel.add_listener(sleeper)
+    else:
+        scanner.flowing = other.flowing = False
+    assert attempt_span(sim, 1000) is False
+    assert sim.span_aborts == {failure: 1}
+    asks = scanner.asks + other.asks
+    assert asks and all(bound == MIN_SPAN for _, bound in asks)
+    assert sim.cycle == 0
+
+
+def test_probe_is_asked_once_and_its_offer_reused():
+    sim = Simulator()
+    first = _Looper(sim, "first", natural=50)
+    probe = _Looper(sim, "probe", natural=40)
+    probe.refuse = True
+    assert attempt_span(sim, 1000) is False
+    assert sim._span_probe is probe
+    # Churn: the memoized refuser is asked first, so a repeat refusal
+    # costs one span_offer call.
+    first.asks.clear()
+    probe.asks.clear()
+    assert attempt_span(sim, 1000) is False
+    assert (len(first.asks), len(probe.asks)) == (0, 1)
+    # Once it offers, that one offer is the one applied.
+    probe.refuse = False
+    probe.asks.clear()
+    assert attempt_span(sim, 1000) is True
+    assert len(probe.asks) == 1
+    assert probe.applied == [(1, 40)]
+    assert first.applied == [(len(first.asks), 40)]
+    assert sim.cycle == 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loopers=st.lists(
+        st.tuples(st.integers(MIN_SPAN, 200), st.booleans()),
+        min_size=1, max_size=5,
+    ),
+    n_max=st.integers(MIN_SPAN, 300),
+)
+def test_phase_two_extends_only_cut_offers(loopers, n_max):
+    """The span is exactly as long as a single-phase negotiation would
+    make it, and only offers at the phase-1 bound are asked again."""
+    sim = Simulator()
+    components = [
+        _Looper(sim, f"c{i}", natural=natural, scanner=scanner)
+        for i, (natural, scanner) in enumerate(loopers)
+    ]
+    assert attempt_span(sim, n_max) is True
+    n = min([n_max] + [natural for natural, _ in loopers])
+    assert sim.cycle == n
+    for component in components:
+        first, *again = [bound for _, bound in component.asks]
+        assert first == MIN_SPAN
+        phase1 = min(component.natural, MIN_SPAN) \
+            if component.scanner else component.natural
+        assert len(again) <= (1 if phase1 == MIN_SPAN else 0)
+        assert all(bound > MIN_SPAN for bound in again)
+        assert component.applied[-1][1] == n
+
+
+def test_awake_opaque_component_costs_one_attempt(monkeypatch):
+    calls = []
+
+    def counted(sim, limit):
+        calls.append(sim.cycle)
+        return attempt_span(sim, limit)
+
+    monkeypatch.setattr(kernel, "attempt_span", counted)
+    sim = Simulator()
+    looper = _Looper(sim, "looper")
+    opaque = sim.add(_Opaque("core", until=100))
+    sim.run(100)
+    assert calls == [0]
+    assert sim.span_aborts == {"opaque": 1}
+    assert sim._span_veto is opaque and opaque not in sim._active
+    # The veto slept at cycle 99: the next attempt spans the rest.
+    sim.run(100)
+    assert calls == [0, 100]
+    assert sim.spans_entered == 1
+    assert looper.applied == [(len(looper.asks), 100)]

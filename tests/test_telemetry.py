@@ -122,6 +122,24 @@ def test_wire_blocking_helpers_over_a_socketpair():
         b.close()
 
 
+def test_wire_keeps_every_message_of_one_chunk():
+    # Three messages in one chunk: the two stashed extras come back out
+    # of the buffer together on the next call, and neither may be lost
+    # (a lost extra was a lost telemetry frame).
+    a, b = socket.socketpair()
+    b.settimeout(5.0)
+    try:
+        a.sendall(b"".join(encode_message({"n": n}) for n in (1, 2, 3)))
+        a.close()
+        decoder = MessageDecoder()
+        received = []
+        while (message := recv_message(b, decoder)) is not None:
+            received.append(message["n"])
+        assert received == [1, 2, 3]
+    finally:
+        b.close()
+
+
 def test_parse_target():
     assert parse_target("9999") == ("127.0.0.1", 9999)
     assert parse_target("example:12") == ("example", 12)
@@ -292,23 +310,33 @@ def test_server_stream_pause_set_checkpoint_resume(tmp_path):
     runner = None
     try:
         with server.live_point(system, label="pt",
-                               default_watch=(list(PATTERNS), 200, None)):
+                               default_watch=(list(PATTERNS), 200, None)
+                               ) as session:
             client = TelemetryClient(host, port)
             hello = client.connect()
             assert hello["live"] is True
             assert hello["point"] == "pt"
             assert hello["probes"] == list(PATTERNS)
 
-            # Queue watch + pause *before* the run starts: commands
-            # drain at the first commit boundary, so nothing races.
+            # Queue watch + pause + an unpaused knob write *before* the
+            # run starts: commands drain at the first commit boundary, so
+            # nothing races once the server thread has moved all three
+            # into the inbox.  (A command sent while the run streams on
+            # would race the run's end: nothing drains the inbox after.)
             send_message(client._sock, {"id": 101, "type": "watch"})
             send_message(client._sock, {"id": 102, "type": "pause",
                                         "at": 1000})
+            send_message(client._sock, {"id": 103, "type": "set",
+                                        "path": KNOB, "value": 4096})
+            deadline = time.monotonic() + 10
+            while len(session._inbox) < 3:
+                assert time.monotonic() < deadline, "commands never queued"
+                time.sleep(0.001)
             runner = threading.Thread(target=lambda: system.sim.run(4000))
             runner.start()
 
             frames = []
-            watch_reply = paused_reply = None
+            watch_reply = paused_reply = refused = None
             while paused_reply is None:
                 message = client._next()
                 assert message is not None
@@ -316,10 +344,15 @@ def test_server_stream_pause_set_checkpoint_resume(tmp_path):
                     watch_reply = message
                 elif message.get("id") == 102:
                     paused_reply = message
+                elif message.get("id") == 103:
+                    refused = message
                 elif message.get("type") == "frame":
                     frames.append(message)
             assert watch_reply["type"] == "ok"
             assert watch_reply["paths"] == list(PATTERNS)
+            # Knob writes outside a pause are refused.
+            assert refused["type"] == "error"
+            assert "paused" in refused["message"]
             # Pause at C parks with cycle == C + 1: the exact instant a
             # schedule.at(C) rule observes.  Frames through C arrived
             # before the pause notification.
@@ -338,10 +371,6 @@ def test_server_stream_pause_set_checkpoint_resume(tmp_path):
             resumed_reply = client.resume()
             assert resumed_reply["type"] == "resumed"
             assert resumed_reply["cycle"] == 1001
-
-            # Knob writes outside a pause are refused.
-            with pytest.raises(TelemetryClientError, match="paused"):
-                client.set(KNOB, 4096)
 
             # 14 frames remain (1200..3800); the "end" event only fires
             # when this live_point block exits, so count, don't wait.
