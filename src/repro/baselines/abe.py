@@ -68,12 +68,6 @@ class AbeEqualizer(Component):
                 self.outstanding -= 1
         self.splitter.tick_response(cycle)
 
-    def reset(self) -> None:
-        self.splitter.reset()
-        self._link.reset()
-        self.outstanding = 0
-        self.denied = 0
-
     def state_capture(self) -> dict:
         return {
             "splitter": self.splitter.state_capture(),

@@ -60,10 +60,6 @@ class AbuRegulator(Component):
         if self.down.r.can_recv() and self.up.r.can_send():
             self.up.r.send(self.down.r.recv())
 
-    def reset(self) -> None:
-        self.region.reset()
-        self.denied = 0
-
     def state_capture(self) -> dict:
         return {"region": self.region.state_capture(), "denied": self.denied}
 

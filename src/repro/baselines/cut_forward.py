@@ -51,10 +51,6 @@ class CutForwardUnit(Component):
             self._link.r.send(self.down.r.recv())
         self.buffer.tick_response(cycle)
 
-    def reset(self) -> None:
-        self.buffer.reset()
-        self._link.reset()
-
     def state_capture(self) -> dict:
         return {
             "buffer": self.buffer.state_capture(),

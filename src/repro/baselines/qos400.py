@@ -59,9 +59,6 @@ class QosArbiter:
         ]
         return self._rr.peek(masked)
 
-    def reset(self) -> None:
-        self._rr.reset()
-
     def state_capture(self) -> int:
         return self._rr.state_capture()
 

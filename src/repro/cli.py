@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 
 def _run_fig6a(args: argparse.Namespace) -> int:
@@ -194,9 +194,6 @@ def _emit_execution_stats(result, verbose: bool = False) -> None:
                     f"({', '.join(node['divergent'])}) -> "
                     f"{node['points']} point(s): {labels}"
                 )
-    elif result.fork_cycle is not None:
-        print(f"fork-point execution: shared prefix of "
-              f"{result.fork_cycle} cycles simulated once")
     if not verbose:
         return
     # Campaign-wide per-component share of wall-clock tick time,
@@ -258,22 +255,20 @@ def _telemetry_server(args: argparse.Namespace):
     return server
 
 
-def _run_scenario(args: argparse.Namespace) -> int:
+def _campaign_command(
+    args: argparse.Namespace, load_spec: Callable[[argparse.Namespace], Any]
+) -> int:
+    """The ``run``/``sweep`` body: build the spec with *load_spec(args)*,
+    execute the campaign (with live telemetry when asked) and emit it."""
     from repro.scenario import ScenarioError, run_campaign
     from repro.sim import SimulationError
     from repro.snapshot import SnapshotError
 
-    if args.resume:
-        return _resume_scenario(args)
-    if not args.file:
-        print("repro: error: give a scenario file or --resume CKPT",
-              file=sys.stderr)
-        return 2
     server = None
     try:
         from repro.telemetry import TelemetryError
 
-        spec = _load_scenario(args)
+        spec = load_spec(args)
         server = _telemetry_server(args)
         result = run_campaign(
             spec,
@@ -297,6 +292,16 @@ def _run_scenario(args: argparse.Namespace) -> int:
             server.stop()
     _emit_campaign(result, args)
     return 0
+
+
+def _run_scenario(args: argparse.Namespace) -> int:
+    if args.resume:
+        return _resume_scenario(args)
+    if not args.file:
+        print("repro: error: give a scenario file or --resume CKPT",
+              file=sys.stderr)
+        return 2
+    return _campaign_command(args, _load_scenario)
 
 
 def _resume_scenario(args: argparse.Namespace) -> int:
@@ -352,63 +357,34 @@ def _resume_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
+def _sweep_spec(args: argparse.Namespace):
+    """The scenario file with its campaign replaced by the ``--axis``
+    grid."""
     from dataclasses import replace
 
-    from repro.scenario import (
-        AxisSpec,
-        CampaignSpec,
-        ScenarioError,
-        run_campaign,
-    )
-    from repro.sim import SimulationError
-    from repro.snapshot import SnapshotError
+    from repro.scenario import AxisSpec, CampaignSpec
 
-    server = None
-    try:
-        from repro.telemetry import TelemetryError
-
-        spec = _load_scenario(args)
-        axes = []
-        for item in args.axis:
-            field, values = _split_assignment(item, "--axis")
-            # Validated like a file axis (e.g. an empty value list must
-            # error out, not silently run the unswept base point).
-            axes.append(
-                AxisSpec.from_dict(
-                    {
-                        "field": field,
-                        "values": [parse_cli_value(v)
-                                   for v in values.split(",") if v],
-                    },
-                    f"--axis {field}",
-                )
+    spec = _load_scenario(args)
+    axes = []
+    for item in args.axis:
+        field, values = _split_assignment(item, "--axis")
+        # Validated like a file axis (e.g. an empty value list must
+        # error out, not silently run the unswept base point).
+        axes.append(
+            AxisSpec.from_dict(
+                {
+                    "field": field,
+                    "values": [parse_cli_value(v)
+                               for v in values.split(",") if v],
+                },
+                f"--axis {field}",
             )
-        # Replace the file's campaign with the ad-hoc grid.
-        spec = replace(spec, campaign=CampaignSpec(sweep=tuple(axes)))
-        server = _telemetry_server(args)
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            active_set=False if args.naive_kernel else None,
-            batched=False if args.per_beat else None,
-            smoke=args.smoke,
-            profile=args.profile,
-            record=bool(args.trace_out),
-            fork=args.fork,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            telemetry=server,
         )
-    except (ScenarioError, SimulationError, SnapshotError,
-            TelemetryError) as exc:
-        print(f"repro: scenario error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if server is not None:
-            server.stop()
-    _emit_campaign(result, args)
-    return 0
+    return replace(spec, campaign=CampaignSpec(sweep=tuple(axes)))
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    return _campaign_command(args, _sweep_spec)
 
 
 def _elaborate(args: argparse.Namespace):

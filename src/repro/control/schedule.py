@@ -128,9 +128,6 @@ class Schedule:
         self.series: dict[str, list[dict[str, Any]]] = {}
         # repro: lint-ok[snapshot-coverage] arm-order tiebreaker; state_restore re-arms every rule in captured order, rebuilding it
         self._arm_seq = 0
-        # A simulator reset drops the hook heap; re-arm every rule so a
-        # reset-and-rerun fires the same schedule as a fresh build.
-        sim.add_reset_hook(self.reset)
         # Checkpoints capture rule state here instead of the kernel's
         # hook heap (hooks are closures); restore re-arms every rule.
         sim.register_state_client("schedule", self)
@@ -270,7 +267,7 @@ class Schedule:
         return rule
 
     # ------------------------------------------------------------------
-    # arming and reset
+    # arming
     # ------------------------------------------------------------------
     def _dispatch(self, rule: Rule) -> Callable[[Rule, int], None]:
         if rule.edge:
@@ -301,23 +298,6 @@ class Schedule:
 
     def _arm(self, rule: Rule) -> None:
         self._call_at(self._first_cycle(rule), rule)
-
-    def reset(self) -> None:
-        """Return every rule to its post-install state and re-arm it.
-
-        Called automatically when the owning simulator resets (the reset
-        drops the kernel's hook heap), so a reset-and-rerun fires the
-        same schedule as a freshly built system.
-        """
-        for samples in self.series.values():
-            samples.clear()
-        for rule in self.rules:
-            rule.fired = 0
-            rule.evaluations = 0
-            rule.active = True
-            rule.prev = False
-            rule.armed = None
-            self._arm(rule)
 
     # ------------------------------------------------------------------
     # firing

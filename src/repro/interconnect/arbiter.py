@@ -44,9 +44,6 @@ class RoundRobinArbiter:
                 return idx
         return None
 
-    def reset(self) -> None:
-        self._pointer = 0
-
     def state_capture(self) -> int:
         return self._pointer
 
@@ -72,9 +69,6 @@ class FixedPriorityArbiter:
 
     def peek(self, requests: Sequence[bool]) -> Optional[int]:
         return self.grant(requests)
-
-    def reset(self) -> None:  # stateless
-        pass
 
     def state_capture(self) -> int:
         return 0

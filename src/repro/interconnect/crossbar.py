@@ -177,28 +177,6 @@ class AxiCrossbar(Component):
                 return False
         return True
 
-    def reset(self) -> None:
-        for order in list(self._w_express.values()) + list(
-            self._r_express.values()
-        ):
-            order.cancel()
-        self._w_express.clear()
-        self._r_express.clear()
-        for q in (
-            self._w_order + self._w_route + self._err_b + self._err_r
-            + self._err_w_ids
-        ):
-            q.clear()
-        for arb in self._aw_arb + self._ar_arb + self._b_arb + self._r_arb:
-            arb.reset()
-        self._r_lock = [None] * len(self.managers)
-        self.aw_forwarded = 0
-        self.ar_forwarded = 0
-        self.decode_errors = 0
-        # qos_override is runtime *configuration* (a control-plane knob),
-        # not machine state: it survives reset like the REALM units'
-        # register-programmed config does.
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

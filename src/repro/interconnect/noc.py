@@ -506,20 +506,6 @@ class AxiNoc(Component):
                 if self.response_net.inject(node, Flit(dest, "r", beat, node)):
                     bundle.r.recv()
 
-    def reset(self) -> None:
-        width = self.request_net.width
-        height = self.request_net.height
-        depth = next(iter(self.request_net.routers.values())).depth
-        self.request_net = _MeshNetwork(width, height, depth)
-        self.response_net = _MeshNetwork(width, height, depth)
-        for q in self._w_route.values():
-            q.clear()
-        for q in self._sub_aw_order.values():
-            q.clear()
-        for qs in self._sub_w_queues.values():
-            qs.clear()
-        self.flits_injected = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

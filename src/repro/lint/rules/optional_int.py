@@ -113,7 +113,7 @@ class OptionalIntTruthinessRule(Rule):
                     for dec in stmt.decorator_list
                 ):
                     self._note(stmt.name, stmt.returns)
-                # self.x: Optional[int] = ... inside __init__/reset
+                # self.x: Optional[int] = ... inside any method
                 for inner in ast.walk(stmt):
                     if (isinstance(inner, ast.AnnAssign)
                             and isinstance(inner.target, ast.Attribute)

@@ -1,7 +1,7 @@
 """snapshot-coverage: every mutable attribute is captured & restored.
 
-DESIGN.md §10's contract, checked statically: a component class that
-assigns mutable state (in ``reset`` or ``__init__``) must define
+DESIGN.md §10's contract, checked statically: a class that ticks (or
+already defines a snapshot hook) and assigns mutable state must define
 ``state_capture``, every such attribute must be read inside the
 capture body, and the capture dict's keys must be exactly the keys
 ``state_restore`` consumes.  Scoped to the component packages whose
@@ -9,8 +9,9 @@ instances end up inside a snapshot tree.
 
 What counts as *mutable state* is deliberately shape-based:
 
-* every ``self.X`` assigned in ``reset`` (reset exists to rewind state,
-  so everything it touches is simulated state by definition);
+* every ``self.X`` assigned in ``state_restore`` (restore exists to
+  rewind state, so everything it touches is simulated state by
+  definition);
 * ``self.X`` assigned in ``__init__`` to a state-shaped initializer —
   a constant, a container literal/comprehension, or a ``list``/
   ``dict``/``set``/``deque``/... constructor call.  Attributes
@@ -106,7 +107,7 @@ def _assigned_attrs(
                 ):
                     continue
                 out.setdefault(attr, element.lineno)
-        # mutating-call resets: self._pending.clear() style
+        # mutating calls: self._pending.clear() style
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -257,28 +258,28 @@ class SnapshotCoverageRule(Rule):
             if isinstance(stmt, ast.FunctionDef)
         }
         init = methods.get("__init__")
-        reset = methods.get("reset")
+        tick = methods.get("tick")
         capture = methods.get("state_capture")
         restore = methods.get("state_restore")
-        if not (reset or capture or restore):
+        if not (tick or capture or restore):
             return []  # not a snapshot participant
 
         mutable: dict[str, int] = {}
         if init is not None:
             mutable.update(_assigned_attrs(init, state_shaped_only=True))
-        if reset is not None:
+        if restore is not None:
             for attr, line in _assigned_attrs(
-                reset, state_shaped_only=False
+                restore, state_shaped_only=False
             ).items():
                 mutable.setdefault(attr, line)
 
         findings: list[Finding] = []
         path = module.path
         if capture is None:
-            if reset is not None and mutable:
+            if tick is not None and mutable:
                 findings.append(Finding(
                     path, cls.lineno, cls.col_offset, self.id,
-                    f"class {cls.name!r} assigns mutable state in reset "
+                    f"class {cls.name!r} ticks with mutable state "
                     f"({', '.join(sorted(mutable))}) but defines no "
                     f"state_capture",
                 ))

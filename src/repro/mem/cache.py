@@ -242,19 +242,6 @@ class CacheLLC(Component):
         self._staged_wait = self.hit_latency
         self._staged_ready = self._now + self.hit_latency
 
-    def reset(self) -> None:
-        self._sets = [OrderedDict() for _ in range(self.n_sets)]
-        self._state = "idle"
-        self._txn = None
-        self._staged = None
-        self._pending_wbeat = None
-        self._wait = 0
-        self._latency_ready = 0
-        self._staged_ready = 0
-        self.hits = self.misses = 0
-        self.writebacks = self.refills = 0
-        self.reads_served = self.writes_served = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

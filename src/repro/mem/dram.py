@@ -132,18 +132,6 @@ class DramModel(Component):
             return True
         return not port.b.can_send()
 
-    def reset(self) -> None:
-        self._open_rows = {b: None for b in range(self.timing.n_banks)}
-        self._kind = None
-        self._beat = None
-        self._index = 0
-        self._wait = 0
-        self._ready = 0
-        self._w_done = False
-        self._w_error = False
-        self.row_hits = self.row_misses = 0
-        self.reads_served = self.writes_served = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

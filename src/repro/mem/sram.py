@@ -116,19 +116,6 @@ class SramMemory(Component):
             self.wake_at(wake)
         return True
 
-    def reset(self) -> None:
-        self._rd = None
-        self._wr = None
-        self._rd_wait = self._wr_wait = 0
-        self._rd_ready = self._wr_ready = 0
-        self._rd_index = self._wr_index = 0
-        self._rd_error = self._wr_error = False
-        self._wr_done = False
-        self._atomic_r = None
-        self.reads_served = self.writes_served = 0
-        self.read_beats = self.write_beats = 0
-        self.atomics_served = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

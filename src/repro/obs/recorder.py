@@ -240,7 +240,7 @@ class FlightRecorder:
         # started (active at attach + attributed wakes) - still active.
         # Counting per event would cost an attribute store on a
         # ~2-per-cycle path.  Every wake path (commit, timer, hook,
-        # direct ``Simulator.wake``, ``wake_at`` of a past cycle, reset,
+        # direct ``Simulator.wake``, ``wake_at`` of a past cycle,
         # snapshot restore) is attributed.  The journal, when enabled,
         # records the exact per-event sequence.
         if sim is not None:

@@ -103,9 +103,6 @@ class BookkeepingUnit:
             stall_cycles=self.stall_cycles,
         )
 
-    def reset(self) -> None:
-        self.__init__()
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

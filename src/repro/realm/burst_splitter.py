@@ -225,18 +225,6 @@ class BurstSplitterStage:
             self.up.r.send(beat)
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._aw_fragments.clear()
-        self._ar_fragments.clear()
-        self._w_boundaries.clear()
-        self._w_beats_left = None
-        self._b_expect.clear()
-        self._b_acc.clear()
-        self._r_expect.clear()
-        self._r_seen.clear()
-        self.bursts_split = 0
-        self.fragments_emitted = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

@@ -74,11 +74,6 @@ class BusGuard:
         readable by anyone so managers can discover the owner."""
         return self._owner
 
-    def reset(self) -> None:
-        self._owner = NO_OWNER
-        self.rejected_accesses = 0
-        self.handovers = 0
-
     # ------------------------------------------------------------------
     # snapshot contract (registered as a simulator state client)
     # ------------------------------------------------------------------

@@ -110,16 +110,6 @@ class IsolationStage:
         if self.mode == IsolationMode.DRAINING and self._drained:
             self.mode = IsolationMode.ISOLATED
 
-    def reset(self) -> None:
-        self.mode = IsolationMode.PASS
-        self.outstanding_reads = 0
-        self.outstanding_writes = 0
-        self._w_bursts_owed = 0
-        self.reasons.clear()
-        self.blocked_aw = 0
-        self.blocked_ar = 0
-        self.isolation_events = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

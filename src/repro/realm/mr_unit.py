@@ -217,27 +217,13 @@ class MonitorRegulationStage:
     def _record_latency(self, table, beat_id: int, cycle: int) -> None:
         fifo = table.get(beat_id)
         if not fifo:
-            return  # response without a tracked request (e.g. after reset)
+            return  # response without a tracked request
         issue_cycle, region_idx = fifo.popleft()
         self.outstanding -= 1
         if region_idx is not None:
             self.books[region_idx].on_latency(cycle - issue_cycle)
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        for region in self.regions:
-            region.reset()
-        for book in self.books:
-            book.reset()
-        self.outstanding = 0
-        self._last_cycle = -1
-        self._write_inflight.clear()
-        self._read_inflight.clear()
-        self.denied_by_budget = 0
-        self.denied_by_throttle = 0
-        self.stalled_this_cycle = False
-        self.transferring_this_cycle = False
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

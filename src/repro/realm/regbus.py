@@ -97,12 +97,6 @@ class RegbusAdapter(Component):
                           tid=request.tid)
             )
 
-    def reset(self) -> None:
-        self._pending = None
-        self._wait = 0
-        self.accesses = 0
-        self.errors = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------
@@ -164,11 +158,6 @@ class RegbusRequester(Component):
             and self.adapter.rsp.peek().tid == self.tid
         ):
             self.responses.append(self.adapter.rsp.recv())
-
-    def reset(self) -> None:
-        self._queue.clear()
-        self.responses.clear()
-        self._next_tag = 0
 
     # ------------------------------------------------------------------
     # snapshot contract

@@ -99,11 +99,6 @@ class RegionState:
         self.replenish()
         self.periods_elapsed = 0
 
-    def reset(self) -> None:
-        self.remaining = self.config.budget_bytes
-        self.cycles_into_period = 0
-        self.periods_elapsed = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

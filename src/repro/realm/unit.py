@@ -575,23 +575,6 @@ class RealmUnit(Component):
             return False
         return True
 
-    def reset(self) -> None:
-        for link in self._links:
-            link.reset()
-        self.isolation.reset()
-        self.splitter.reset()
-        self.write_buffer.reset()
-        self.mr.reset()
-        self._pending_reconfig.clear()
-        self._cycle = -1
-        self._freeze_sig = None
-        self._freeze_counters = None
-        self._freeze_delta = None
-        self._frozen_since = None
-        self._frozen_applied_through = -1
-        self.span_hits = 0  # repro: lint-ok[snapshot-coverage] execution-strategy counter, not simulated state
-        self.span_cycles = 0  # repro: lint-ok[snapshot-coverage] execution-strategy counter, not simulated state
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

@@ -71,9 +71,6 @@ class Wire(Generic[T]):
     def occupancy(self) -> int:
         return 0 if self._item is None else 1
 
-    def reset(self) -> None:
-        self._item = None
-
     def state_capture(self) -> dict:
         return {"item": self._item}
 
@@ -97,10 +94,6 @@ class WireBundle:
     @property
     def channels(self) -> tuple[Wire, ...]:
         return (self.aw, self.w, self.b, self.ar, self.r)
-
-    def reset(self) -> None:
-        for wire in self.channels:
-            wire.reset()
 
     def state_capture(self) -> dict:
         return {wire.name: wire.state_capture() for wire in self.channels}

@@ -118,15 +118,6 @@ class WriteBufferStage:
                 self.bursts_forwarded += 1
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._aw_q.clear()
-        self._w_q.clear()
-        self._complete_bursts = 0
-        self._forwarding = None
-        self._aw_forwarded = False
-        self.bursts_forwarded = 0
-        self.peak_occupancy = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

@@ -672,21 +672,12 @@ def _primary_core(
     return None
 
 
-def _run_expanded(args: tuple) -> PointResult:
-    (point, active_set, batched, profile, record, resume_state,
-     checkpoint_every, checkpoint_dir, scenario_name) = args
-    return run_point(
-        point, active_set=active_set, batched=batched, profile=profile,
-        record=record, resume_state=resume_state,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, scenario_name=scenario_name,
-    )
-
-
 def _run_forked(args: tuple) -> PointResult:
-    """Process-pool entry for one fork-tree leaf: load the nearest
-    ancestor snapshot from the checkpoint store (the handoff encoding —
-    DESIGN.md section 14) and finish the point's remaining suffix."""
+    """Process-pool entry for one campaign point.  A fork-tree leaf
+    passes a checkpoint path: load the nearest ancestor snapshot from
+    the checkpoint store (the handoff encoding — DESIGN.md section 14)
+    and finish the point's remaining suffix.  A flat campaign passes
+    ``None`` and runs the point from scratch."""
     (point, active_set, batched, profile, record, ckpt_path,
      checkpoint_every, checkpoint_dir, scenario_name) = args
     resume_state = None
@@ -933,7 +924,7 @@ def run_campaign(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(
-                    _run_expanded,
+                    _run_forked,
                     [
                         (p, active_set, batched, profile, record, None,
                          checkpoint_every, checkpoint_dir, spec.name)

@@ -279,14 +279,6 @@ class Channel(Generic[T]):
                                 (sim.cycle, "wake", component.name, "channel")
                             )
 
-    def reset(self) -> None:
-        self._queue.clear()
-        self._pending.clear()
-        self._snapshot = 0
-        self._sent_total = 0
-        self._recv_total = 0
-        self._busy_cycles = 0
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

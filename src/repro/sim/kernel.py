@@ -104,7 +104,9 @@ class Component:
     Subclasses implement :meth:`tick`.  A component is registered with a
     :class:`Simulator` either by passing the simulator to
     :meth:`Simulator.add` or by constructing it through helper factories
-    that do so internally.
+    that do so internally.  A stateful subclass also implements
+    :meth:`state_capture` and :meth:`state_restore`: restoring a capture
+    is the only way to rewind it.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -113,9 +115,6 @@ class Component:
 
     def tick(self, cycle: int) -> None:
         """Evaluate one clock cycle.  Override in subclasses."""
-
-    def reset(self) -> None:
-        """Return the component to its post-reset state.  Optional."""
 
     # ------------------------------------------------------------------
     # activity contract
@@ -204,7 +203,6 @@ class SimulationError(RuntimeError):
     """Raised for protocol violations and kernel misuse."""
 
 
-# repro: lint-ok[snapshot-coverage] kernel state is captured wholesale by snapshot.state.capture_simulator, not state hooks
 class Simulator:
     """Owns the clock, the components, and the channels.
 
@@ -252,7 +250,6 @@ class Simulator:
         # counted separately so snapshot capture can tell them apart
         # from client-owned hooks that re-arm on restore.
         self._transient_hooks = 0
-        self._reset_hooks: list[Callable[[], None]] = []
         # Run-loop poll seam: an execution-side callback (e.g. a live
         # telemetry session draining its command inbox) guarded by a
         # truthiness gate.  The hot path only ever tests the gate — the
@@ -512,7 +509,7 @@ class Simulator:
         every *persistent* hook to be owned by a state client that
         re-arms it on restore, whereas a transient hook belongs to the
         live execution (telemetry sampling, a pause request) and is
-        simply dropped by restore — the observer re-arms itself.
+        simply dropped by restore, never re-armed.
         Telemetry stays a tap, never simulated state.
         """
         self._transient_hooks += 1
@@ -551,11 +548,6 @@ class Simulator:
         """Remove the run-loop poll callback (no-op when unset)."""
         self._poll_fn = None
         self._poll_gate = None
-
-    def add_reset_hook(self, fn: Callable[[], None]) -> None:
-        """Run *fn* after every :meth:`reset` (the reset drops the hook
-        heap; clients like the schedule engine re-arm themselves here)."""
-        self._reset_hooks.append(fn)
 
     def _fire_hooks(self, committed: int) -> None:
         """Fire every hook due at or before the just-committed cycle.
@@ -808,37 +800,6 @@ class Simulator:
                 continue
             self.step()
         return True
-
-    def reset(self) -> None:
-        """Reset the clock, all components, and all channels."""
-        self.cycle = 0
-        for component in self._components:
-            component.reset()
-        for channel in self._channels:
-            channel.reset()
-        # Sleepers rejoin through wake() so a recorder attributes them.
-        for component in self._components:
-            self.wake(component)
-        self._wake_heap.clear()
-        self._hook_heap.clear()
-        self._transient_hooks = 0
-        self._hot_channels.clear()
-        # Component resets cancel their own express orders; any leftover
-        # is cancelled here so its suppressed listeners are restored —
-        # a bare clear() would leave the owner deaf on those channels.
-        for order in tuple(self._express):
-            order.cancel()
-        self._express.clear()
-        self.ticks_executed = 0
-        self.ticks_skipped = 0
-        self.cycles_fast_forwarded = 0
-        self.spans_entered = 0
-        self.span_cycles_replayed = 0
-        self.span_aborts = {}
-        self._span_probe = None
-        self._span_veto = None
-        for fn in self._reset_hooks:
-            fn()
 
     # ------------------------------------------------------------------
     # introspection

@@ -28,9 +28,11 @@ What is captured where (the ownership contract, DESIGN.md section 10):
   owned by any client is pending.  Hooks armed through
   :meth:`~repro.sim.kernel.Simulator.call_at_transient` (the telemetry
   tap, live pause requests) are execution-side observers: captures
-  tolerate them, restores drop them, and their owners re-arm — so a
-  checkpoint taken while a live client watches restores bit-identically
-  into a build with no telemetry at all.
+  tolerate them and restores drop them for good — nothing re-arms
+  them, so :func:`~repro.scenario.runner.run_point` restores before a
+  live session subscribes.  A checkpoint taken while a live client
+  watches therefore restores bit-identically into a build with no
+  telemetry at all.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def restore_simulator(sim, tree: dict) -> None:
     # anything the fresh build armed (e.g. a schedule's first firings)
     # is dropped wholesale first.  Transient hooks (telemetry taps, live
     # pause requests) belong to the execution, not the state: they are
-    # dropped too, and their owners re-arm themselves.
+    # dropped too, and nothing re-arms them.
     sim._hook_heap.clear()
     sim._transient_hooks = 0
     for name, client_state in state["clients"].items():

@@ -22,7 +22,7 @@ late attachment loses early frames but never shifts the phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.control.probes import ProbeRegistry
@@ -59,8 +59,6 @@ class TapSubscription:
     active: bool = True
     frames: int = 0
     owner: Any = None  # opaque cookie (e.g. the socket client watching)
-    # Armed-cycle bookkeeping so a reset can re-arm from scratch.
-    _armed: Optional[int] = field(default=None, repr=False)
 
     @property
     def first_cycle(self) -> int:
@@ -80,10 +78,6 @@ class ProbeTap:
         self.sim = sim
         self.probes = probes
         self.subscriptions: list[TapSubscription] = []
-        # A simulator reset drops every pending hook (transient ones
-        # included); re-arm live subscriptions so a reset-and-rerun
-        # streams the same frames as a fresh session.
-        sim.add_reset_hook(self._rearm_all)
 
     # ------------------------------------------------------------------
     # subscription management
@@ -165,13 +159,11 @@ class ProbeTap:
         return first + periods * sub.every
 
     def _arm(self, sub: TapSubscription, cycle: int) -> None:
-        sub._armed = cycle
         self.sim.call_at_transient(cycle, lambda committed: self._fire(
             sub, committed
         ))
 
     def _fire(self, sub: TapSubscription, committed: int) -> None:
-        sub._armed = None
         if not sub.active:
             return
         frame = TapFrame(
@@ -182,8 +174,3 @@ class ProbeTap:
         sub.frames += 1
         self._arm(sub, committed + sub.every)
         sub.consumer(frame)
-
-    def _rearm_all(self) -> None:
-        for sub in self.subscriptions:
-            sub._armed = None
-            self._arm(sub, self._next_due(sub))

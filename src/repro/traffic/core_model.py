@@ -186,16 +186,6 @@ class CoreModel(Component):
             self._gap_left = self.trace.ops[self._index].gap
             self._state = "gap"
 
-    def reset(self) -> None:
-        self._index = 0
-        self._state = "gap"
-        self._gap_left = self.trace.ops[0].gap if self.trace.ops else 0
-        self._napping = False
-        self._w_sent = 0
-        self._start_cycle = None
-        self.latencies = []
-        self.finish_cycle = None
-
     # ------------------------------------------------------------------
     # snapshot contract (the trace itself is rebuilt from its spec)
     # ------------------------------------------------------------------

@@ -243,19 +243,6 @@ class DmaEngine(Component):
     def _drain_b(self) -> None:
         self.port.b.recv_up_to()
 
-    def reset(self) -> None:
-        self._rd_offset = 0
-        self._rd_inflight = 0
-        self._full_buffers.clear()
-        self._wr_offset = 0
-        self._wr_active = None
-        self._wr_aw_sent = False
-        self._wr_beats_sent = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_bursts = 0
-        self.write_bursts = 0
-
     # ------------------------------------------------------------------
     # snapshot contract (includes the runtime-knob-writable settings)
     # ------------------------------------------------------------------

@@ -160,14 +160,6 @@ class ManagerDriver(Component):
         wants_r = op.atop in (AtomicOp.LOAD, AtomicOp.SWAP)
         return not (wants_r and port.r.can_recv())
 
-    def reset(self) -> None:
-        self._queue.clear()
-        self._current = None
-        self.completed = []
-        self._aw_sent = False
-        self._w_index = 0
-        self._r_parts = []
-
     # ------------------------------------------------------------------
     # snapshot contract
     # ------------------------------------------------------------------

@@ -1,26 +1,22 @@
 # repro: lint-treat-as realm/fixture.py
-"""snapshot-coverage fixture: three distinct violation shapes."""
+"""snapshot-coverage fixture: four distinct violation shapes."""
 
 
 class MissingCapture:
-    """Assigns state in reset but has no state_capture at all."""
+    """Ticks with mutable state but has no state_capture at all."""
 
     def __init__(self) -> None:
         self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
         self.backlog = []
+
+    def tick(self, cycle: int) -> None:
+        self.count += 1
 
 
 class UncoveredAttr:
     """Has hooks, but `dropped` never appears in the capture body."""
 
     def __init__(self) -> None:
-        self.kept = 0
-        self.dropped = 0
-
-    def reset(self) -> None:
         self.kept = 0
         self.dropped = 0
 
@@ -42,3 +38,17 @@ class AsymmetricKeys:
 
     def state_restore(self, state: dict) -> None:
         self.extra = state["phantom"]
+
+
+class RestoreOnlyAttr:
+    """`level` is assigned only in state_restore, and never captured."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def state_capture(self) -> dict:
+        return {"count": self.count}
+
+    def state_restore(self, state: dict) -> None:
+        self.count = state["count"]
+        self.level = 0

@@ -8,10 +8,6 @@ class Covered:
         self.count = 0
         self.backlog = []
 
-    def reset(self) -> None:
-        self.count = 0
-        self.backlog.clear()
-
     def state_capture(self) -> dict:
         return {"count": self.count, "backlog": list(self.backlog)}
 
@@ -26,10 +22,6 @@ class NameTable:
     _STATE_FIELDS = ("hits", "misses")
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
         self.hits = 0
         self.misses = 0
 

@@ -7,20 +7,16 @@ suppressions (same shapes as snapshot_bad.py)."""
 class MissingCapture:
     def __init__(self) -> None:
         self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
         self.backlog = []
+
+    def tick(self, cycle: int) -> None:
+        self.count += 1
 
 
 class UncoveredAttr:
     def __init__(self) -> None:
         self.kept = 0
         self.dropped = 0  # repro: lint-ok[snapshot-coverage] fixture: derived cache, rebuilt on restore
-
-    def reset(self) -> None:
-        self.kept = 0
-        self.dropped = 0
 
     def state_capture(self) -> dict:
         return {"kept": self.kept}

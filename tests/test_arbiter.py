@@ -33,13 +33,6 @@ def test_rr_peek_does_not_advance():
     assert arb.peek([True, True]) == 1
 
 
-def test_rr_reset():
-    arb = RoundRobinArbiter(3)
-    arb.grant([True, True, True])
-    arb.reset()
-    assert arb.grant([True, True, True]) == 0
-
-
 def test_rr_wrong_width_raises():
     arb = RoundRobinArbiter(2)
     with pytest.raises(ValueError):

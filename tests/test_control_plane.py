@@ -244,20 +244,6 @@ def test_register_semantics_rejection_surfaces_as_knob_error():
         system.control.set("realm.core.granularity", 0)
 
 
-def test_schedule_rules_survive_a_simulator_reset():
-    system = build_two_manager_system()
-    cp = system.control
-    rule = cp.every(10, sample=["port.core.ar.sent"], label="probes")
-    system.sim.run(35)
-    assert rule.fired == 3
-    system.sim.reset()
-    assert rule.fired == 0 and rule.active
-    assert cp.schedule.series["probes"] == []
-    system.sim.run(35)
-    assert rule.fired == 3
-    assert [e["cycle"] for e in cp.schedule.series["probes"]] == [10, 20, 30]
-
-
 def test_hook_rescheduling_for_a_past_cycle_defers_to_the_next_boundary():
     sim = Simulator()
     fired = []
@@ -630,11 +616,9 @@ def test_event_rule_validation_errors():
                           start=10, until=5, label="x")
     with pytest.raises(ScheduleError, match="no actions"):
         plane.schedule.on("t.v >= 1")
-    # Rejected rules leave no residue: the label is free again and
-    # nothing half-installed survives a reset.
+    # Rejected rules leave no residue: the label is free again.
     assert plane.schedule.rules == []
     plane.schedule.on("t.v >= 1", action=lambda c: None, label="x")
-    sim.reset()
     assert [r.label for r in plane.schedule.rules] == ["x"]
 
 

@@ -68,14 +68,6 @@ def test_txn_tags_unique_and_monotonic():
     assert len(set(tags)) == 3
 
 
-def test_driver_reset():
-    sim, drv = make()
-    drv.read(0x0)
-    drv.reset()
-    assert drv.idle
-    assert drv.completed == []
-
-
 def test_bundle_idle_and_channel_groups():
     sim = Simulator()
     b = AxiBundle(sim, "b")

@@ -143,37 +143,6 @@ def test_throttled_regulation_is_cycle_identical(period):
     assert _throttled_hog(False, period) == _throttled_hog(True, period)
 
 
-def _reset_determinism(active_set: bool):
-    system = (
-        SystemBuilder(active_set=active_set)
-        .add_manager("mgr", protect=True, driver=True)
-        .add_sram("mem", base=0, size=0x1000)
-        .build()
-    )
-    drv = system.driver("mgr")
-
-    def workload():
-        drv.write(0x0, bytes(range(64)), beats=8)
-        op = drv.read(0x0, beats=8)
-        system.run_until_idle()
-        return (system.sim.cycle, op.done_cycle, op.latency)
-
-    first = workload()
-    system.sim.reset()
-    second = workload()
-    return first, second
-
-
-@pytest.mark.parametrize("active_set", [False, True])
-def test_reset_restores_deterministic_replay(active_set):
-    first, second = _reset_determinism(active_set)
-    assert first == second
-
-
-def test_reset_replay_matches_across_kernels():
-    assert _reset_determinism(False) == _reset_determinism(True)
-
-
 # ----------------------------------------------------------------------
 # scenario-axis sweeps: the declarative campaign layer lets the
 # equivalence suite cover far more of the configuration space than the

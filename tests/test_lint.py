@@ -41,8 +41,9 @@ GOLDEN = {
     "snapshot_bad.py": [
         ("snapshot-coverage", 5),    # MissingCapture: no state_capture
         ("snapshot-coverage", 21),   # UncoveredAttr.dropped
-        ("snapshot-coverage", 43),   # emits 'extra', never consumed
-        ("snapshot-coverage", 43),   # consumes 'phantom', never emitted
+        ("snapshot-coverage", 39),   # emits 'extra', never consumed
+        ("snapshot-coverage", 39),   # consumes 'phantom', never emitted
+        ("snapshot-coverage", 54),   # RestoreOnlyAttr.level
     ],
     "codec_bad.py": [
         ("codec-registration", 17),  # Scratchpad(...) unregistered

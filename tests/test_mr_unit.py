@@ -137,12 +137,3 @@ def test_period_rollover_resets_books():
         h.step()
     assert h.mr.region_snapshot(0).bytes_this_period == 0
     assert h.mr.regions[0].periods_elapsed >= 1
-
-
-def test_reset_clears_everything():
-    h = Harness()
-    h.up.ar.send(ARBeat(id=0, addr=0, beats=1, size=3))
-    h.step()
-    h.mr.reset()
-    assert h.mr.outstanding == 0
-    assert h.mr.region_snapshot(0).total_bytes == 0

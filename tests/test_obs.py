@@ -234,17 +234,6 @@ def test_immediate_wake_at_is_attributed():
     assert snap["counters"]["wake.hook.napper"] == 5
 
 
-def test_reset_reactivation_is_attributed():
-    sim = Simulator()
-    sim.add(_Napper("napper"))
-    recorder = FlightRecorder(journal=True).attach(sim)
-    sim.run(5)
-    sim.reset()
-    sim.run(5)
-    assert _journal_sleeps_wakes(recorder) == (2, 1)
-    _assert_sleeps_derivable(recorder)
-
-
 def test_restore_rewind_keeps_sleeps_derivable():
     # A restore replaces the active set wholesale: the components it
     # adds are attributed to the "restore" wake cause and the ones it

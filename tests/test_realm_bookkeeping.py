@@ -61,16 +61,6 @@ def test_stall_cycles():
     assert book.snapshot().stall_cycles == 2
 
 
-def test_reset():
-    book = BookkeepingUnit()
-    book.on_transfer(10, is_read=True)
-    book.on_latency(5)
-    book.reset()
-    snap = book.snapshot()
-    assert snap.total_bytes == 0
-    assert snap.txn_count == 0
-
-
 # ----------------------------------------------------------------------
 # throttle unit
 # ----------------------------------------------------------------------

@@ -112,14 +112,3 @@ def test_isolation_events_counted_once_per_engagement():
     h.stage.release("b")
     h.stage.request_isolate("a")
     assert h.stage.isolation_events == 2
-
-
-def test_reset_clears_state():
-    h = Harness()
-    h.up.ar.send(ARBeat(id=0, addr=0, beats=1, size=3))
-    h.sim.step()
-    h.cycle()
-    h.stage.request_isolate("user")
-    h.stage.reset()
-    assert h.stage.mode == IsolationMode.PASS
-    assert h.stage.outstanding == 0

@@ -65,12 +65,3 @@ def test_reconfigure_resets_credits():
     assert state.remaining == 50
     assert state.cycles_into_period == 0
     assert state.periods_elapsed == 0
-
-
-def test_reset():
-    state = make(budget=10, period=5)
-    state.charge(3)
-    state.advance_cycle()
-    state.reset()
-    assert state.remaining == 10
-    assert state.cycles_into_period == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.realm import (
-    BusGuard,
     BusGuardError,
     NO_OWNER,
     RealmRegisterFile,
@@ -71,13 +70,6 @@ def test_non_owner_cannot_hand_over(sim):
     regfile.write(0x0, HWROT_TID, tid=HWROT_TID)
     with pytest.raises(BusGuardError):
         regfile.write(0x0, EVIL_TID, tid=EVIL_TID)
-
-
-def test_guard_reset(sim):
-    guard = BusGuard()
-    guard.write_guard(5, 5)
-    guard.reset()
-    assert not guard.claimed
 
 
 # ----------------------------------------------------------------------

@@ -87,12 +87,3 @@ def test_adapter_validates_latency(sim):
     realm, regfile, _ = make(sim)
     with pytest.raises(ValueError):
         RegbusAdapter(sim, regfile, latency=-1)
-
-
-def test_adapter_reset(sim):
-    realm, regfile, adapter = make(sim)
-    boot = sim.add(RegbusRequester(adapter, tid=HWROT))
-    boot.write(0x0, HWROT)
-    settle(sim, boot)
-    adapter.reset()
-    assert adapter.accesses == 0

@@ -145,16 +145,6 @@ def test_stats_counters():
     assert ch.busy_cycles == 1
 
 
-def test_reset_clears_everything():
-    sim, ch = make_channel()
-    ch.send(1)
-    sim.step()
-    sim.reset()
-    assert not ch.can_recv()
-    assert ch.occupancy == 0
-    assert ch.sent_total == 0
-
-
 def test_capacity_must_be_positive():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -15,10 +15,6 @@ class Counter(Component):
         self.ticks += 1
         self.seen_cycles.append(cycle)
 
-    def reset(self):
-        self.ticks = 0
-        self.seen_cycles = []
-
 
 def test_run_advances_cycle():
     sim = Simulator()
@@ -54,15 +50,6 @@ def test_run_until_timeout_raises():
     sim = Simulator()
     with pytest.raises(SimulationError, match="timeout"):
         sim.run_until(lambda: False, max_cycles=10, what="never")
-
-
-def test_reset_restores_components_and_clock():
-    sim = Simulator()
-    c = sim.add(Counter())
-    sim.run(3)
-    sim.reset()
-    assert sim.cycle == 0
-    assert c.ticks == 0
 
 
 def test_watchers_run_after_commit():
@@ -263,17 +250,6 @@ def test_default_component_stays_active():
     assert counter.ticks == 50
 
 
-def test_reset_reactivates_sleepers():
-    sim = Simulator()
-    ch = Channel(sim, "inbox")
-    sleeper = sim.add(Sleeper(ch))
-    sim.run(10)
-    sim.reset()
-    assert sleeper in sim.active_components
-    sim.run(10)
-    assert sim.cycle == 10
-
-
 # ----------------------------------------------------------------------
 # express routes (batched datapath)
 # ----------------------------------------------------------------------
@@ -319,15 +295,3 @@ def test_express_route_forwards_middles_and_hands_back_the_boundary():
     assert src.peek().last  # the boundary beat is left for the owner
     sim.run(1)
     assert owner.ticks > ticks_before
-
-
-def test_reset_drops_leftover_express_orders():
-    from repro.sim import Channel, ExpressRoute
-
-    sim = Simulator()
-    owner = sim.add(Component("o"))
-    src = Channel(sim, "src")
-    dst = Channel(sim, "dst")
-    ExpressRoute(src, dst, owner).install(sim)
-    sim.reset()
-    assert not sim._express

@@ -173,23 +173,6 @@ def test_span_replay_off_never_spans():
     assert not system.sim.span_replay_enabled
 
 
-def test_reset_clears_span_state():
-    system, _ = _streaming_system(
-        span_replay=True, burst_beats=256, granularity=256,
-        budget=UNLIMITED, period=UNLIMITED, gap=0, write_buffer=False,
-    )
-    system.sim.run(2000)
-    assert system.sim.spans_entered > 0
-    system.sim.reset()
-    assert system.sim.spans_entered == 0
-    assert system.sim.span_cycles_replayed == 0
-    assert system.sim.span_aborts == {}
-    assert system.sim._span_probe is None
-    assert system.sim._span_veto is None
-    assert system.realm("dma").span_hits == 0
-    assert system.realm("dma").span_cycles == 0
-
-
 def test_scheduled_hook_clamps_spans_to_its_boundary():
     """A hook due within MIN_SPAN cycles of a would-be span start aborts
     the span (cause: window), so scheduled observation/reconfiguration

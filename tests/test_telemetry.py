@@ -219,18 +219,6 @@ def test_tap_mid_run_subscription_joins_the_lattice():
                                                  1400, 1600, 1800]
 
 
-def test_tap_rearms_across_a_simulator_reset():
-    system = _system()
-    tap = ProbeTap(system.sim, system.control.probes)
-    sink = MemorySink()
-    tap.subscribe(sink, PATTERNS, every=200)
-    system.sim.run(450)
-    system.sim.reset()
-    assert system.sim._transient_hooks == 1  # re-armed by the reset hook
-    system.sim.run(450)
-    assert [f["cycle"] for f in sink.frames] == [200, 400, 200, 400]
-
-
 def test_capture_tolerates_tap_hooks_and_restore_drops_them():
     """A checkpoint taken while a consumer watches is legal, and
     restoring it into a telemetry-free build continues bit-identically
