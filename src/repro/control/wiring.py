@@ -240,8 +240,7 @@ def _register_interconnect(control: ControlPlane, system: "System") -> None:
             rsp = fabric.response_net.routers[node]
             probes.register(
                 f"noc.r{x}c{y}.occupancy",
-                lambda a=req, b=rsp: _router_occupancy(a)
-                + _router_occupancy(b),
+                lambda a=req, b=rsp: a.held + b.held,
                 kind="gauge",
                 doc="flits queued or staged in this router (both nets)",
             )
@@ -250,11 +249,6 @@ def _register_interconnect(control: ControlPlane, system: "System") -> None:
                 lambda a=req, b=rsp: a.flits_routed + b.flits_routed,
                 doc="flits this router has forwarded (both nets)",
             )
-
-
-def _router_occupancy(router) -> int:
-    occ = sum(len(queue) for queue in router.inputs.values())
-    return occ + sum(1 for flit in router.staged.values() if flit is not None)
 
 
 # ----------------------------------------------------------------------

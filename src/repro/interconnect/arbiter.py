@@ -36,6 +36,11 @@ class RoundRobinArbiter:
                 return idx
         return None
 
+    def grant_one(self, idx: int) -> int:
+        """:meth:`grant` for a request vector in which only *idx* is set."""
+        self._pointer = (idx + 1) % self.n
+        return idx
+
     def peek(self, requests: Sequence[bool]) -> Optional[int]:
         """Like :meth:`grant` but without advancing the pointer."""
         for offset in range(self.n):

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat, WBeat
+from repro.axi.beats import BBeat, RBeat, WBeat
 from repro.axi.idspace import IdMap
 from repro.axi.ports import AxiBundle
+from repro.axi.types import Resp
 from repro.interconnect.address_map import AddressMap
 from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.sim.kernel import Component, SimulationError
@@ -60,6 +61,16 @@ class _Router:
             d: None for d in self.DIRECTIONS
         }
         self.flits_routed = 0
+        # Flits queued or staged here, kept by accept, eject and link
+        # moves on both datapaths.
+        self.held = 0  # repro: lint-ok[snapshot-coverage] derived from inputs and staged, recounted by state_restore
+        # Batched-datapath tables, filled once by _MeshNetwork: the input
+        # queues in DIRECTIONS order (state_restore refills them in
+        # place), the XY route (dest -> output index) and the links
+        # (output, neighbour, neighbour's input queue, neighbour node).
+        self._queues = [self.inputs[d] for d in self.DIRECTIONS]  # repro: lint-ok[snapshot-coverage] aliases of inputs, immutable after build
+        self._route: dict[tuple[int, int], int] = {}  # repro: lint-ok[snapshot-coverage] topology table, immutable after build
+        self._links: tuple = ()  # repro: lint-ok[snapshot-coverage] topology table, immutable after build
 
     def can_accept(self, direction: str) -> bool:
         return len(self.inputs[direction]) < self.depth
@@ -68,6 +79,7 @@ class _Router:
         if not self.can_accept(direction):
             raise SimulationError(f"router ({self.x},{self.y}) input full")
         self.inputs[direction].append(flit)
+        self.held += 1
 
     def _output_for(self, flit: Flit) -> str:
         dx, dy = flit.dest
@@ -98,45 +110,52 @@ class _Router:
             self.flits_routed += 1
 
     def route_batched(self) -> None:
-        """:meth:`route` with the no-request arbitrations skipped.
+        """:meth:`route` with one route-table lookup per input head.
 
-        Request vectors are still rebuilt per output from the live queue
-        heads (an earlier output's grant may expose a new head that wants
-        a later output — the reference routes it in the same cycle), but
-        an output nobody requests never reaches its arbiter, which is
-        bit-identical because an all-idle grant does not advance the
-        round-robin pointer.
+        The heads are looked up once, into per-output bit masks of
+        requesting inputs, and the requested outputs are served in
+        :attr:`DIRECTIONS` order.  A pop looks up only the head it
+        exposes: a later output may still take it this cycle, as the
+        reference's live re-read allows, while an earlier or the same
+        output is already decided.  A sole requester sets the
+        round-robin pointer past itself, exactly what ``grant`` does;
+        only contested outputs arbitrate.
         """
-        dirs = self.DIRECTIONS
-        inputs = self.inputs
-        staged = self.staged
-        for out in dirs:
-            if staged[out] is not None:
-                continue
-            requests = None
-            for i, d in enumerate(dirs):
-                queue = inputs[d]
-                if queue and self._output_for(queue[0]) == out:
-                    if requests is None:
-                        requests = [False] * 5
-                    requests[i] = True
-            if requests is None:
-                continue
-            granted = self._arbiters[out].grant(requests)
-            if granted is None:
-                continue
-            staged[out] = inputs[dirs[granted]].popleft()
-            self.flits_routed += 1
-
-    def busy(self) -> bool:
-        """True while any flit is queued or staged in this router."""
-        for queue in self.inputs.values():
+        queues = self._queues
+        route = self._route
+        want = [0, 0, 0, 0, 0]
+        outs = 0
+        bit = 1
+        for queue in queues:
             if queue:
-                return True
-        for flit in self.staged.values():
-            if flit is not None:
-                return True
-        return False
+                out = route[queue[0].dest]
+                want[out] |= bit
+                outs |= 1 << out
+            bit <<= 1
+        staged = self.staged
+        dirs = self.DIRECTIONS
+        while outs:
+            low = outs & -outs
+            outs ^= low
+            out = low.bit_length() - 1
+            name = dirs[out]
+            if staged[name] is not None:
+                continue
+            mask = want[out]
+            if mask & (mask - 1):
+                granted = self._arbiters[name].grant(
+                    [bool(mask >> i & 1) for i in range(5)]
+                )
+            else:
+                granted = self._arbiters[name].grant_one(mask.bit_length() - 1)
+            queue = queues[granted]
+            staged[name] = queue.popleft()
+            self.flits_routed += 1
+            if queue:
+                later = route[queue[0].dest]
+                if later > out:
+                    want[later] |= 1 << granted
+                    outs |= 1 << later
 
     def state_capture(self) -> dict:
         return {
@@ -149,24 +168,30 @@ class _Router:
         }
 
     def state_restore(self, state: dict) -> None:
+        held = 0
         for direction in self.DIRECTIONS:
-            self.inputs[direction] = deque(state["inputs"][direction])
+            queue = self.inputs[direction]
+            queue.clear()
+            queue.extend(state["inputs"][direction])
             self._arbiters[direction].state_restore(
                 state["arbiters"][direction]
             )
-            self.staged[direction] = state["staged"][direction]
+            flit = state["staged"][direction]
+            self.staged[direction] = flit
+            held += len(queue) + (flit is not None)
         self.flits_routed = state["flits_routed"]
+        self.held = held
 
 
 class _MeshNetwork:
     """One physical network: a grid of routers moved once per cycle.
 
-    The batched datapath keeps an *active* set of router coordinates —
-    exactly those holding at least one flit — so a step visits only the
-    few routers a burst is streaming through instead of scanning the
-    whole (mostly empty) mesh.  Routing and link movement are per-router
-    independent, so visiting the active subset in sorted order is
-    bit-identical to the reference full scan.
+    The batched datapath keeps an *active* set of router coordinates, a
+    superset of those holding flits, so a step visits only the few
+    routers a burst is streaming through instead of scanning the whole
+    (mostly empty) mesh; each step drops the routers it leaves empty.
+    Routing and link movement are per-router independent, so the visit
+    order cannot change a result (DESIGN.md section 9).
     """
 
     _OPPOSITE = {"north": "south", "south": "north",
@@ -186,6 +211,29 @@ class _MeshNetwork:
         # Coordinates of routers that may hold flits (batched datapath);
         # a superset of the truly busy ones, pruned during step().
         self._active: set[tuple[int, int]] = set()
+        for router in self.routers.values():
+            self._wire(router)
+
+    def _wire(self, router: _Router) -> None:
+        """Build *router*'s link table and its XY route table, filled
+        from :meth:`_Router._output_for`; no entry may leave the mesh."""
+        links = []
+        for out, (dx, dy) in self._DELTA.items():
+            node = (router.x + dx, router.y + dy)
+            neighbor = self.routers.get(node)
+            if neighbor is not None:
+                queue = neighbor.inputs[self._OPPOSITE[out]]
+                links.append((out, neighbor, queue, node))
+        router._links = tuple(links)
+        linked = {"local"} | {link[0] for link in links}
+        for dest in self.routers:
+            out = router._output_for(Flit(dest, "route", None, dest))
+            if out not in linked:
+                raise SimulationError(
+                    f"router ({router.x},{router.y}) routes {dest} "
+                    f"{out}, off the mesh edge"
+                )
+            router._route[dest] = _Router.DIRECTIONS.index(out)
 
     def router(self, node: tuple[int, int]) -> _Router:
         return self.routers[node]
@@ -205,10 +253,8 @@ class _MeshNetwork:
         router.staged["local"] = None
         if flit is not None:
             self.flits -= 1
+            router.held -= 1
         return flit
-
-    def peek_eject(self, node: tuple[int, int]) -> Optional[Flit]:
-        return self.routers[node].staged["local"]
 
     def step(self, batched: bool = False) -> None:
         """Route inside every router, then move staged flits over links."""
@@ -230,46 +276,30 @@ class _MeshNetwork:
                 if neighbor.can_accept(opposite[out]):
                     neighbor.accept(opposite[out], flit)
                     router.staged[out] = None
+                    router.held -= 1
 
     def _step_batched(self) -> None:
+        """:meth:`step` over the active routers only, table-driven."""
         active = self._active
         if not active:
             return
         routers = self.routers
-        order = sorted(active)
-        for node in order:
-            routers[node].route_batched()
-        opposite = self._OPPOSITE
-        delta = self._DELTA
-        idle = None
-        for node in order:
-            router = routers[node]
-            x, y = node
-            busy = False
-            for out, (dx, dy) in delta.items():
-                flit = router.staged[out]
-                if flit is None:
-                    continue
-                neighbor = routers.get((x + dx, y + dy))
-                if neighbor is None:  # pragma: no cover - routing bug guard
-                    raise SimulationError("flit routed off the mesh edge")
-                if neighbor.can_accept(opposite[out]):
-                    neighbor.accept(opposite[out], flit)
-                    active.add((x + dx, y + dy))
-                    router.staged[out] = None
-                else:
-                    busy = True
-            if not busy and not router.busy():
-                if idle is None:
-                    idle = [node]
-                else:
-                    idle.append(node)
-        if idle is not None:
-            # Re-check before pruning: a later router's link movement may
-            # have pushed a flit into a router already found empty.
-            for node in idle:
-                if not routers[node].busy():
-                    active.discard(node)
+        visit = [routers[node] for node in active]
+        for router in visit:
+            if router.held:
+                router.route_batched()
+        for router in visit:
+            staged = router.staged
+            for out, neighbor, queue, node in router._links:
+                flit = staged[out]
+                if flit is not None and len(queue) < neighbor.depth:
+                    queue.append(flit)
+                    staged[out] = None
+                    neighbor.held += 1
+                    router.held -= 1
+                    active.add(node)
+            if not router.held:
+                active.discard((router.x, router.y))
 
     def state_capture(self) -> dict:
         return {
@@ -294,7 +324,9 @@ class AxiNoc(Component):
     *managers* maps a node coordinate to the manager-side bundle whose
     requests enter the network there; *subordinates* maps coordinates to
     downstream bundles.  ``addr_map`` decodes to subordinate indices (in
-    the iteration order of *subordinates*).
+    the iteration order of *subordinates*).  A decode miss is answered by
+    the manager's NI: one DECERR R beat per requested beat, or one
+    DECERR B after the burst's last W, queued until the channel is free.
     """
 
     def __init__(
@@ -326,13 +358,27 @@ class AxiNoc(Component):
         self.addr_map = addr_map
         self.idmap = IdMap(inner_id_bits)
         self._sub_nodes = list(subordinates.keys())
-        # repro: lint-ok[snapshot-coverage] topology wiring, immutable after build
-        self._mgr_index = {node: i for i, node in enumerate(managers)}
         self._mgr_nodes = list(managers.keys())
+        # NI wiring for the per-cycle passes, immutable after build: each
+        # NI's channels and the router whose local staged slot it reads.
+        self._mgr_ports = tuple(
+            (i, node, b.aw, b.w, b.ar, b.b, b.r,
+             self.response_net.routers[node])
+            for i, (node, b) in enumerate(managers.items())
+        )
+        self._sub_ports = tuple(
+            (node, b.aw, b.w, b.ar, b.b, b.r, self.request_net.routers[node])
+            for node, b in subordinates.items()
+        )
         # Manager NI state: W routing FIFO (dest per issued AW).
         self._w_route: dict[tuple[int, int], deque[tuple[int, int]]] = {
             node: deque() for node in managers
         }
+        # Manager NI DECERR state, per manager index: the B of each
+        # unmapped AW until its last W, then B and R beats to send.
+        self._err_w: list[deque[BBeat]] = [deque() for _ in managers]
+        self._err_b: list[deque[BBeat]] = [deque() for _ in managers]
+        self._err_r: list[deque[RBeat]] = [deque() for _ in managers]
         # Subordinate NI state: AW order and per-manager W queues.
         self._sub_aw_order: dict[tuple[int, int], deque[tuple[int, int]]] = {
             node: deque() for node in subordinates
@@ -355,15 +401,21 @@ class AxiNoc(Component):
     def is_idle(self) -> bool:
         if self.request_net.flits or self.response_net.flits:
             return False
-        for bundle in self.managers.values():
-            if bundle.aw.can_recv() or bundle.w.can_recv() or bundle.ar.can_recv():
+        for queue in self._err_b:
+            if queue:
                 return False
-        for node, bundle in self.subordinates.items():
-            if bundle.b.can_recv() or bundle.r.can_recv():
+        for queue in self._err_r:
+            if queue:
+                return False
+        for _, _, aw, w, ar, _, _, _ in self._mgr_ports:
+            if aw._queue or w._queue or ar._queue:
+                return False
+        for node, _, w, _, b, r, _ in self._sub_ports:
+            if b._queue or r._queue:
                 return False
             # Buffered W data replayable right now means there is work.
             order = self._sub_aw_order[node]
-            if order and bundle.w.can_send():
+            if order and w.can_send():
                 queue = self._sub_w_queues[node].get(order[0])
                 if queue:
                     return False
@@ -379,52 +431,58 @@ class AxiNoc(Component):
         return self._sub_nodes[idx]
 
     def _manager_inject(self) -> None:
-        for node, bundle in self.managers.items():
-            mgr_idx = self._mgr_index[node]
+        net = self.request_net
+        for mgr_idx, node, aw, w, ar, _, _, _ in self._mgr_ports:
+            if not (aw._queue or w._queue or ar._queue):
+                continue
             # AW: one per cycle, establishes the W route.
-            if bundle.aw.can_recv():
-                beat = bundle.aw.peek()
+            if aw._queue:
+                beat = aw._queue[0]
                 dest = self._dest_for(beat.addr)
                 if dest is None:
-                    bundle.aw.recv()
+                    aw.recv()
                     self._w_route[node].append(node)  # error sentinel: self
-                elif self.request_net.inject(
+                    self._err_w[mgr_idx].append(
+                        BBeat(id=beat.id, resp=Resp.DECERR, txn=beat.txn)
+                    )
+                elif net.inject(
                     node, Flit(dest, "aw", self._widen(beat, mgr_idx), node)
                 ):
-                    bundle.aw.recv()
+                    aw.recv()
                     self._w_route[node].append(dest)
                     self.flits_injected += 1
             # W: follows the oldest AW's route.
-            if bundle.w.can_recv() and self._w_route[node]:
-                dest = self._w_route[node][0]
-                beat = bundle.w.peek()
-                if dest == node:  # decode-miss burst: swallow, answer DECERR
-                    bundle.w.recv()
-                    if beat.last:
-                        self._w_route[node].popleft()
-                        from repro.axi.types import Resp
-
-                        bundle.b.send(BBeat(id=0, resp=Resp.DECERR))
-                elif self.request_net.inject(node, Flit(dest, "w", beat, node)):
-                    bundle.w.recv()
-                    if beat.last:
-                        self._w_route[node].popleft()
+            if w._queue:
+                w_route = self._w_route[node]
+                if w_route:
+                    dest = w_route[0]
+                    beat = w._queue[0]
+                    if dest == node:  # decode-miss burst: swallow, then DECERR
+                        w.recv()
+                        if beat.last:
+                            w_route.popleft()
+                            self._err_b[mgr_idx].append(
+                                self._err_w[mgr_idx].popleft()
+                            )
+                    elif net.inject(node, Flit(dest, "w", beat, node)):
+                        w.recv()
+                        if beat.last:
+                            w_route.popleft()
             # AR.
-            if bundle.ar.can_recv():
-                beat = bundle.ar.peek()
+            if ar._queue:
+                beat = ar._queue[0]
                 dest = self._dest_for(beat.addr)
                 if dest is None:
-                    beat = bundle.ar.recv()
-                    from repro.axi.types import Resp
-
-                    if bundle.r.can_send():
-                        bundle.r.send(
-                            RBeat(id=beat.id, resp=Resp.DECERR, last=True)
-                        )
-                elif self.request_net.inject(
+                    ar.recv()
+                    self._err_r[mgr_idx].extend(
+                        RBeat(id=beat.id, resp=Resp.DECERR,
+                              last=(i == beat.beats - 1), txn=beat.txn)
+                        for i in range(beat.beats)
+                    )
+                elif net.inject(
                     node, Flit(dest, "ar", self._widen(beat, mgr_idx), node)
                 ):
-                    bundle.ar.recv()
+                    ar.recv()
                     self.flits_injected += 1
 
     def _widen(self, beat, mgr_idx: int):
@@ -433,78 +491,96 @@ class AxiNoc(Component):
         return out
 
     def _manager_eject(self) -> None:
-        for node, bundle in self.managers.items():
-            flit = self.response_net.peek_eject(node)
+        net = self.response_net
+        err_b, err_r = self._err_b, self._err_r
+        inner_of = self.idmap.inner_of
+        for mgr_idx, node, _, _, _, b, r, router in self._mgr_ports:
+            flit = router.staged["local"]
+            if err_b[mgr_idx] or err_r[mgr_idx]:
+                flit = self._send_decerr(mgr_idx, b, r, flit)
             if flit is None:
                 continue
+            beat = flit.beat
             if flit.kind == "b":
-                if not bundle.b.can_send():
+                if not b.can_send():
                     continue
-                self.response_net.eject(node)
-                beat = flit.beat
-                bundle.b.send(
-                    BBeat(id=self.idmap.inner_of(beat.id), resp=beat.resp,
-                          txn=beat.txn)
-                )
+                net.eject(node)
+                b.send(BBeat(id=inner_of(beat.id), resp=beat.resp,
+                             txn=beat.txn))
             else:  # "r"
-                if not bundle.r.can_send():
+                if not r.can_send():
                     continue
-                self.response_net.eject(node)
-                beat = flit.beat
-                bundle.r.send(
-                    RBeat(id=self.idmap.inner_of(beat.id), data=beat.data,
-                          resp=beat.resp, last=beat.last, txn=beat.txn)
-                )
+                net.eject(node)
+                r.send(RBeat(id=inner_of(beat.id), data=beat.data,
+                             resp=beat.resp, last=beat.last, txn=beat.txn))
+
+    def _send_decerr(self, mgr_idx: int, b, r, flit: Optional[Flit]):
+        """Send queued DECERR beats ahead of network responses, one beat
+        per channel per cycle.  Returns the local *flit*, or None when a
+        DECERR beat took its channel this cycle."""
+        queue = self._err_b[mgr_idx]
+        if queue and b.can_send():
+            b.send(queue.popleft())
+            if flit is not None and flit.kind == "b":
+                flit = None
+        queue = self._err_r[mgr_idx]
+        if queue and r.can_send():
+            r.send(queue.popleft())
+            if flit is not None and flit.kind == "r":
+                flit = None
+        return flit
 
     # ------------------------------------------------------------------
     # subordinate network interfaces
     # ------------------------------------------------------------------
     def _subordinate_eject(self) -> None:
-        for node, bundle in self.subordinates.items():
-            flit = self.request_net.peek_eject(node)
+        net = self.request_net
+        for node, aw, w, ar, _, _, router in self._sub_ports:
+            flit = router.staged["local"]
+            order = self._sub_aw_order[node]
             if flit is not None:
-                if flit.kind == "aw":
-                    if bundle.aw.can_send():
-                        self.request_net.eject(node)
-                        bundle.aw.send(flit.beat)
-                        self._sub_aw_order[node].append(flit.src)
+                kind = flit.kind
+                if kind == "aw":
+                    if aw.can_send():
+                        net.eject(node)
+                        aw.send(flit.beat)
+                        order.append(flit.src)
                         self._sub_w_queues[node].setdefault(flit.src, deque())
-                elif flit.kind == "w":
+                elif kind == "w":
                     # Always absorb W flits into the per-source queue; they
                     # are replayed to the subordinate in AW order below.
-                    self.request_net.eject(node)
+                    net.eject(node)
                     self._sub_w_queues[node].setdefault(
                         flit.src, deque()
                     ).append(flit.beat)
-                elif flit.kind == "ar":
-                    if bundle.ar.can_send():
-                        self.request_net.eject(node)
-                        bundle.ar.send(flit.beat)
+                elif kind == "ar":
+                    if ar.can_send():
+                        net.eject(node)
+                        ar.send(flit.beat)
             # Replay buffered W data in AW-arrival order.
-            order = self._sub_aw_order[node]
-            if order and bundle.w.can_send():
-                src = order[0]
-                queue = self._sub_w_queues[node].get(src)
+            if order and w.can_send():
+                queue = self._sub_w_queues[node].get(order[0])
                 if queue:
                     beat = queue.popleft()
-                    bundle.w.send(beat)
+                    w.send(beat)
                     if beat.last:
                         order.popleft()
 
     def _subordinate_inject(self) -> None:
-        for node, bundle in self.subordinates.items():
-            if bundle.b.can_recv():
-                beat = bundle.b.peek()
-                mgr = self.idmap.manager_of(beat.id)
-                dest = self._mgr_nodes[mgr]
-                if self.response_net.inject(node, Flit(dest, "b", beat, node)):
-                    bundle.b.recv()
-            if bundle.r.can_recv():
-                beat = bundle.r.peek()
-                mgr = self.idmap.manager_of(beat.id)
-                dest = self._mgr_nodes[mgr]
-                if self.response_net.inject(node, Flit(dest, "r", beat, node)):
-                    bundle.r.recv()
+        net = self.response_net
+        mgr_nodes = self._mgr_nodes
+        manager_of = self.idmap.manager_of
+        for node, _, _, _, b, r, _ in self._sub_ports:
+            if b._queue:
+                beat = b._queue[0]
+                dest = mgr_nodes[manager_of(beat.id)]
+                if net.inject(node, Flit(dest, "b", beat, node)):
+                    b.recv()
+            if r._queue:
+                beat = r._queue[0]
+                dest = mgr_nodes[manager_of(beat.id)]
+                if net.inject(node, Flit(dest, "r", beat, node)):
+                    r.recv()
 
     # ------------------------------------------------------------------
     # snapshot contract
@@ -514,6 +590,9 @@ class AxiNoc(Component):
             "request_net": self.request_net.state_capture(),
             "response_net": self.response_net.state_capture(),
             "w_route": {n: deque(q) for n, q in self._w_route.items()},
+            "err_w": [deque(q) for q in self._err_w],
+            "err_b": [deque(q) for q in self._err_b],
+            "err_r": [deque(q) for q in self._err_r],
             "sub_aw_order": {
                 n: deque(q) for n, q in self._sub_aw_order.items()
             },
@@ -529,6 +608,11 @@ class AxiNoc(Component):
         self.response_net.state_restore(state["response_net"])
         for node, queue in state["w_route"].items():
             self._w_route[node] = deque(queue)
+        # Checkpoints written before the NI queued DECERR beats hold none.
+        empty = [()] * len(self._mgr_nodes)
+        self._err_w = [deque(q) for q in state.get("err_w", empty)]
+        self._err_b = [deque(q) for q in state.get("err_b", empty)]
+        self._err_r = [deque(q) for q in state.get("err_r", empty)]
         for node, queue in state["sub_aw_order"].items():
             self._sub_aw_order[node] = deque(queue)
         for node, queues in state["sub_w_queues"].items():

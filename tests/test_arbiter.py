@@ -70,3 +70,16 @@ def test_property_rr_is_fair_under_full_load(n, rounds):
     for _ in range(rounds):
         counts[arb.grant([True] * n)] += 1
     assert max(counts) - min(counts) <= 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_property_rr_grant_one_equals_one_hot_grant(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pointer = data.draw(st.integers(0, n - 1))
+    idx = data.draw(st.integers(0, n - 1))
+    fast, ref = RoundRobinArbiter(n), RoundRobinArbiter(n)
+    fast.state_restore(pointer)
+    ref.state_restore(pointer)
+    assert fast.grant_one(idx) == ref.grant([i == idx for i in range(n)])
+    assert fast.state_capture() == ref.state_capture()
