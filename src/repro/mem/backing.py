@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.axi.types import bytes_per_beat
-
 
 class BackingStore:
     """A bytearray-backed memory window ``[base, base + size)``.
@@ -42,12 +40,16 @@ class BackingStore:
                 if strb & (1 << i):
                     self._data[off + i] = byte
 
+    def write_run(self, addr: int, data: bytes, count: int) -> None:
+        """Write *data* *count* times back to back from *addr*, all byte
+        lanes enabled; nothing is written if any of it is out of range."""
+        nbytes = len(data) * count
+        off = self._offset(addr, nbytes)
+        self._data[off : off + nbytes] = data * count
+
     def fill(self, addr: int, nbytes: int, pattern: int = 0) -> None:
         off = self._offset(addr, nbytes)
         self._data[off : off + nbytes] = bytes([pattern & 0xFF]) * nbytes
-
-    def read_beat(self, addr: int, size: int) -> bytes:
-        return self.read(addr, bytes_per_beat(size))
 
     # ------------------------------------------------------------------
     # snapshot contract

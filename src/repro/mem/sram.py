@@ -191,20 +191,12 @@ class SramMemory(Component):
             if limit < 1:
                 return None  # next R beat closes the burst
             nbytes = bytes_per_beat(beat.size)
-            r_horizon = 0
-            for j in range(self._rd_index, self._rd_index + limit):
-                data, resp = self._read_beat(self._rd_addrs[j], nbytes)
-                if r_template is None:
-                    r_template = RBeat(
-                        id=beat.id, data=data, resp=resp, last=False,
-                        txn=beat.txn,
-                    )
-                elif data != r_template.data or resp != r_template.resp:
-                    break
-                r_horizon += 1
-            if r_horizon < 1:
-                return None
-            horizon = min(horizon, r_horizon)
+            addr = self._rd_addrs[self._rd_index]
+            data, resp = self._read_beat(addr, nbytes)
+            r_template = RBeat(
+                id=beat.id, data=data, resp=resp, last=False, txn=beat.txn,
+            )
+            horizon = min(horizon, self._r_horizon(limit, nbytes, data, resp))
             flows.append(produce(port.r, r_template))
         w_template = None
         if self._wr is None:
@@ -244,22 +236,61 @@ class SramMemory(Component):
                 self.read_beats += n
                 self._rd_index = rd_index + n
             if w_template is not None:
-                addrs = self._wr_addrs
-                top = len(addrs) - 1
-                if w_template.data is not None:
+                data, strb = w_template.data, w_template.strb
+                if data is not None and not self._write_run(
+                    wr_index, n, data, strb
+                ):
+                    addrs = self._wr_addrs
+                    top = len(addrs) - 1
                     for j in range(wr_index, wr_index + n):
                         try:
-                            self.store.write(
-                                addrs[min(j, top)],
-                                w_template.data,
-                                w_template.strb,
-                            )
+                            self.store.write(addrs[min(j, top)], data, strb)
                         except IndexError:
                             self._wr_error = True
                 self.write_beats += n
                 self._wr_index = wr_index + n
 
         return SpanOffer(flows=tuple(flows), horizon=horizon, apply=apply)
+
+    def _r_horizon(
+        self, limit: int, nbytes: int, data: bytes, resp: Resp
+    ) -> int:
+        """How many of the next *limit* R beats repeat the first one's
+        *data* and *resp*: one slice compare when they read one contiguous
+        in-range run without error, else a per-beat scan."""
+        addrs = self._rd_addrs
+        start = self._rd_index
+        if resp == Resp.OKAY:
+            base = _run_base(addrs, start, limit, nbytes)
+            if base is not None:
+                try:
+                    if self.store.read(base, limit * nbytes) == data * limit:
+                        return limit
+                except IndexError:
+                    pass  # partly out of range: those beats are SLVERR
+        horizon = 1
+        for j in range(start + 1, start + limit):
+            if self._read_beat(addrs[j], nbytes) != (data, resp):
+                break
+            horizon += 1
+        return horizon
+
+    def _write_run(self, start: int, n: int, data: bytes, strb: int) -> bool:
+        """Write W beats ``start .. start + n - 1`` of the current burst in
+        one slice assignment if they form one contiguous in-range run with
+        every byte lane enabled; otherwise write nothing, return False."""
+        nbytes = len(data)
+        lanes = (1 << nbytes) - 1
+        if not nbytes or (strb & lanes) != lanes:
+            return False
+        base = _run_base(self._wr_addrs, start, n, nbytes)
+        if base is None:
+            return False
+        try:
+            self.store.write_run(base, data, n)
+        except IndexError:
+            return False  # the per-beat loop writes the in-range beats
+        return True
 
     def _read_beat(self, addr: int, nbytes: int) -> tuple[bytes, Resp]:
         """One R beat's payload and response, without side effects."""
@@ -413,3 +444,17 @@ class SramMemory(Component):
                 id=self._wr.id, data=old, resp=Resp.OKAY, last=True,
                 txn=self._wr.txn,
             )
+
+
+def _run_base(
+    addrs: list[int], start: int, count: int, stride: int
+) -> Optional[int]:
+    """First address of ``addrs[start:start + count]`` if those beats are
+    back to back, *stride* bytes apart, else ``None``."""
+    window = addrs[start : start + count]
+    if len(window) < count:
+        return None
+    base = window[0]
+    if window != list(range(base, base + count * stride, stride)):
+        return None
+    return base

@@ -24,7 +24,7 @@ from repro.axi.ports import AxiBundle
 from repro.realm.bookkeeping import BookkeepingSnapshot
 from repro.realm.burst_splitter import BurstSplitterStage
 from repro.realm.config import RealmRuntimeConfig, RealmUnitParams
-from repro.realm.isolation import IsolationMode, IsolationStage
+from repro.realm.isolation import IsolationStage
 from repro.realm.mr_unit import MonitorRegulationStage
 from repro.realm.regions import RegionConfig, RegionState
 from repro.realm.throttle import ThrottleUnit
@@ -320,14 +320,20 @@ class RealmUnit(Component):
         """Offer a closed-form multi-cycle step while linearly streaming.
 
         The unit is *linear* when its regulation decisions are settled for
-        the whole span: no reconfiguration pending, isolation passing with
-        no trigger armed, no region depleted (W/R data movement never
-        charges budget — only AW/AR admission does, so budgets can only
-        replenish mid-span), and every address-phase wire at rest.  The
-        only per-cycle activity is then data movement: one W beat relayed
+        the whole span: no reconfiguration pending, the isolation reasons
+        exactly those the next tick's FSM would assert, and every
+        address-phase wire at rest.  W/R data movement never charges
+        budget — only AW/AR admission does — so a region can only
+        replenish mid-span.  That is harmless while passing, but it
+        releases budget isolation, so a budget-isolated unit (draining
+        the data of bursts it admitted before) offers only up to the next
+        replenish edge, whose tick must run per-beat.  The only per-cycle
+        activity is then data movement: one W beat relayed
         ``up.w -> down.w`` through the splitter's current fragment and the
         write buffer's steady queue, and/or one R beat relayed
-        ``down.r -> up.r`` — both value-identical every cycle.
+        ``down.r -> up.r`` — both value-identical every cycle.  Neither is
+        a burst's last beat and no B beat moves, so a draining unit stays
+        draining.
         """
         if self._pending_reconfig:
             return None
@@ -342,9 +348,18 @@ class RealmUnit(Component):
         sp = self.splitter
         wb = self.write_buffer
         mr = self.mr
-        if iso.mode is not IsolationMode.PASS or iso.reasons:
-            return None
-        if self.config.user_isolate or mr.budget_exhausted:
+        settled = set()
+        if self.config.user_isolate:
+            settled.add("user")
+        horizon = UNBOUNDED
+        if mr.budget_exhausted:
+            settled.add("budget")
+            edge = mr.next_replenish_edge()
+            if edge is not None:
+                horizon = edge - cycle
+        # The isolation stage passes exactly while no reason is asserted,
+        # so settled reasons settle the mode as well.
+        if iso.reasons != settled:
             return None
         link_a, link_b, link_c = self._links
         # No address-phase or response-boundary event may be in flight:
@@ -378,7 +393,6 @@ class RealmUnit(Component):
             return None  # the buffer (or bypass) would move the AW
 
         flows = []
-        horizon = UNBOUNDED
         w_head = self.up.w._queue[0] if self.up.w._queue else None
         if w_head is not None:
             if w_head.last:

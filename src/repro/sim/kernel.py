@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.sim.span import attempt_span
 
@@ -328,10 +328,6 @@ class Simulator:
             rec._occupancy.append(0)
             rec._channel_wakes[component] = 0
         return component
-
-    def add_all(self, components: Iterable[Component]) -> None:
-        for component in components:
-            self.add(component)
 
     def register_channel(self, channel) -> None:
         """Called by Channel.__init__; not part of the public API."""

@@ -7,8 +7,16 @@ note there about why they must not live in a ``conftest.py``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.sim import Simulator
+
+# Tier-1 is deterministic: every property test draws the same examples
+# on every run (a seed derived from the test, no example database).
+# ``pytest --hypothesis-profile=random`` draws fresh examples instead.
+settings.register_profile("random", derandomize=False)
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_addoption(parser):

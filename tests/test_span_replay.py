@@ -6,7 +6,9 @@ fragment granularities, finite budgets that exhaust mid-stream, period
 edges crossing running spans, write buffer on/off — through the same
 horizon with span replay enabled and disabled, and diffs every
 observable.  The targeted tests pin the negotiation machinery itself:
-abort taxonomy, hook clamping, probe publication, and profile stats;
+abort taxonomy, hook clamping, probe publication, profile stats, and
+REALM offers while a budget-isolated unit drains (settled isolation
+reasons, horizon ending at the replenish edge);
 synthetic components pin its cost shape — failed attempts never scan
 past ``MIN_SPAN``, the memoized refuser is asked once, phase 2 re-asks
 only offers the phase-1 bound may have cut, and an awake opaque
@@ -25,6 +27,7 @@ import repro.sim.kernel as kernel
 from repro.mem import CacheLLC, SramMemory
 from repro.realm import RealmUnit, RegionConfig
 from repro.realm.config import RealmUnitParams
+from repro.realm.isolation import IsolationMode
 from repro.scenario import apply_smoke, expand, load_file, run_point
 from repro.sim import Channel, Component, Simulator
 from repro.sim.span import (
@@ -261,7 +264,111 @@ def test_smoke_stream_steady_span_coverage_is_pinned():
         coverage[point.label] = (
             system.sim.spans_entered, system.sim.span_cycles_replayed
         )
-    assert coverage == {"uncapped": (80, 7266), "budget=8k": (53, 6166)}
+    assert coverage == {"uncapped": (80, 7266), "budget=8k": (62, 7087)}
+
+
+def _budget_point(span_replay: bool):
+    """The smoke ``stream_steady`` budget=8k point, elaborated: the dma's
+    region depletes mid-burst, so its unit drains admitted bursts."""
+    spec = apply_smoke(load_file(SCENARIO_DIR / "stream_steady.toml"))
+    point = next(p for p in expand(spec) if p.label == "budget=8k")
+    from repro.scenario.runner import (
+        _elaborate_point,
+        _execute_run,
+        collect_observables,
+    )
+
+    system, generators = _elaborate_point(point, active_set=True,
+                                          batched=True)
+    system.sim._span_enabled = span_replay
+
+    def run():
+        _execute_run(system, point.spec, point.label, generators)
+        return collect_observables(system, point.spec, generators)
+
+    return system, run
+
+
+def test_spans_replay_budget_isolation_drains(monkeypatch):
+    """Spans start while the budget-isolated dma unit drains the data of
+    bursts it admitted, stop short of the replenish edge whose tick
+    releases the isolation, and change no observable."""
+    system, run = _budget_point(span_replay=True)
+    unit = system.realms["dma"]
+    spans = []
+
+    def recorded(sim, limit):
+        start, mode = sim.cycle, unit.isolation.mode
+        entered = attempt_span(sim, limit)
+        if entered:
+            spans.append((start, sim.cycle, mode))
+        return entered
+
+    monkeypatch.setattr(kernel, "attempt_span", recorded)
+    observables = run()
+    period = unit.mr.regions[0].config.period_cycles
+    draining = [(start, end) for start, end, mode in spans
+                if mode is IsolationMode.DRAINING]
+    assert draining
+    for start, end in draining:
+        # The tick at each multiple of the period replenishes the budget.
+        assert start // period == (end - 1) // period
+        assert start % period
+    _, reference = _budget_point(span_replay=False)
+    assert observables == reference()
+
+
+def _draining_unit():
+    """The dma unit at the first cycle it offers a span while draining
+    (found by stepping the budget point per beat)."""
+    system, _ = _budget_point(span_replay=False)
+    sim = system.sim
+    unit = system.realms["dma"]
+    while sim.cycle < unit.mr.regions[0].config.period_cycles:
+        if (
+            unit.isolation.mode is IsolationMode.DRAINING
+            and unit in sim._active
+            and unit.span_offer(sim.cycle, UNBOUNDED) is not None
+        ):
+            return sim, unit
+        sim.step()
+    pytest.fail("the dma unit never offered a span while draining")
+
+
+def test_draining_offer_ends_at_the_replenish_edge():
+    sim, unit = _draining_unit()
+    cycle = sim.cycle
+    assert unit.isolation.reasons == {"budget"}
+    natural = unit.span_offer(cycle, UNBOUNDED).horizon
+    assert natural < unit.mr.next_replenish_edge() - cycle
+    # Move the edge inside the flows' own horizon: it now binds.
+    region = unit.mr.regions[0]
+    region.cycles_into_period = region.config.period_cycles - 10
+    edge = unit.mr.next_replenish_edge()
+    assert MIN_SPAN <= edge - cycle < natural
+    for bound in (MIN_SPAN, UNBOUNDED):
+        assert unit.span_offer(cycle, bound).horizon == edge - cycle
+    # No finite edge: only a knob write (a hook) can end the isolation.
+    region.config.period_cycles = UNLIMITED
+    assert unit.mr.next_replenish_edge() is None
+    assert unit.span_offer(cycle, UNBOUNDED).horizon == natural
+
+
+@pytest.mark.parametrize("disagreement", [
+    "user_isolate_set", "user_reason_extra", "budget_replenished",
+])
+def test_offer_refused_when_isolation_reasons_are_not_settled(disagreement):
+    """The next tick's FSM would change the isolation reasons, so the
+    unit's regulation decision is not settled: no offer."""
+    sim, unit = _draining_unit()
+    if disagreement == "user_isolate_set":
+        unit.config.user_isolate = True
+    elif disagreement == "user_reason_extra":
+        unit.isolation.reasons.add("user")
+    else:
+        region = unit.mr.regions[0]
+        region.remaining = region.config.budget_bytes
+    assert unit.span_offer(sim.cycle, UNBOUNDED) is None
 
 
 def test_offer_flows_do_not_depend_on_bound():

@@ -1,10 +1,14 @@
 """Unit tests for the SRAM model (driven directly, no crossbar)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.axi import AxiBundle, BurstType, Resp
+from repro.axi.beats import ARBeat, AWBeat, WBeat
 from repro.mem import SramMemory
 from repro.sim import Simulator
+from repro.sim.span import UNBOUNDED
 from repro.traffic.driver import ManagerDriver
 
 
@@ -128,3 +132,136 @@ def test_reads_and_writes_progress_concurrently():
     sim.run_until(lambda: drv2.idle, max_cycles=1000, what="writer")
     rop = drv.completed[0]
     assert wop.done_cycle < rop.done_cycle
+
+
+# ----------------------------------------------------------------------
+# span replay: the bulk run paths equal the per-beat loop (DESIGN.md §11)
+# ----------------------------------------------------------------------
+@st.composite
+def _bursts(draw):
+    """A burst over an SRAM whose contents repeat one beat-wide pattern
+    (so read windows are often uniform), sometimes with one byte near
+    the burst flipped.  INCR bursts may start unaligned; any burst may
+    run partly outside the SRAM's window."""
+    base = draw(st.integers(1, 16)) * 0x100
+    size = draw(st.sampled_from([0x80, 0x400, 0x1000]))
+    axsize = draw(st.integers(0, 4))
+    nbytes = 1 << axsize
+    kind = draw(st.sampled_from(list(BurstType)))
+    if kind is BurstType.WRAP:
+        beats = draw(st.sampled_from([2, 4, 8, 16]))
+    else:
+        beats = draw(st.integers(2, 64 if kind is BurstType.INCR else 16))
+    offset = draw(st.integers(-0x80, size + 0x40))
+    if kind is not BurstType.INCR or draw(st.booleans()):
+        offset -= offset % nbytes
+    first = draw(st.integers(0, 255))
+    pattern = bytes((first + i) % 256 for i in range(nbytes))  # no symmetry
+    content = bytearray(pattern * (size // nbytes))
+    if draw(st.booleans()):
+        span = beats * nbytes  # a WRAP burst's container lies within
+        flip = offset + draw(st.integers(-span, span - 1))
+        if 0 <= flip < size:
+            content[flip] ^= 0xFF
+    return dict(base=base, size=size, content=bytes(content),
+                addr=base + offset, beats=beats, axsize=axsize, kind=kind)
+
+
+def _loaded_pair(case):
+    """Two identical zero-latency SRAMs holding the case's contents."""
+    pair = []
+    for _ in range(2):
+        sim = Simulator()
+        sram = sim.add(SramMemory(
+            AxiBundle(sim, "mem"), base=case["base"], size=case["size"],
+            read_latency=0, write_latency=0,
+        ))
+        sram.store.write(case["base"], case["content"])
+        pair.append(sram)
+    return pair
+
+
+def _push(channel, beat):
+    channel.send(beat)
+    channel.commit()
+
+
+def _state(sram):
+    return (sram.store.read(sram.store.base, sram.store.size),
+            sram._wr_error, sram.write_beats, sram._wr_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_bursts(), data=st.data())
+def test_span_write_apply_equals_per_beat_writes(case, data):
+    """A replayed W span leaves the bytes, error flag and beat counters
+    exactly as the per-beat write path: full-strobe contiguous runs in
+    one slice, partial strobes, WRAP/FIXED bursts, data narrower or
+    wider than the beat, and beats outside the store per beat."""
+    nbytes = 1 << case["axsize"]
+    length = data.draw(st.one_of(st.just(nbytes), st.integers(1, 16)))
+    lanes = (1 << length) - 1
+    strb = data.draw(
+        st.one_of(st.just(-1), st.just(lanes), st.integers(0, lanes))
+    )
+    wbeat = WBeat(data=data.draw(st.binary(min_size=length,
+                                           max_size=length)), strb=strb)
+    beats = case["beats"]
+    start = data.draw(st.one_of(st.just(0), st.integers(0, beats - 1)))
+    n = data.draw(st.integers(1, beats - start + 2))
+    aw = AWBeat(id=1, addr=case["addr"], beats=beats, size=case["axsize"],
+                burst=case["kind"])
+    bulk, ref = _loaded_pair(case)
+    for sram in (bulk, ref):
+        _push(sram.port.aw, aw.copy())
+        sram._tick_write(0)
+        for _ in range(start):
+            _push(sram.port.w, wbeat.copy())
+            sram._tick_write(0)
+    _push(bulk.port.w, wbeat.copy())
+    bulk.span_offer(0, UNBOUNDED).apply(n)
+    for _ in range(n):
+        _push(ref.port.w, wbeat.copy())
+        ref._tick_write(0)
+    assert _state(bulk) == _state(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_bursts(), data=st.data())
+def test_span_read_offer_equals_per_beat_reads(case, data):
+    """The R offer's horizon and template (data and resp) are what the
+    per-beat read path serves: the leading beats that repeat the first
+    one, up to the bound and short of the last beat — whether the window
+    is one uniform in-range run, non-uniform, wrapping, fixed, partly
+    out of range (SLVERR), or the burst was malformed (``_rd_error``)."""
+    beats = case["beats"]
+    start = data.draw(st.one_of(st.just(0), st.integers(0, beats - 2)))
+    bound = data.draw(st.one_of(st.integers(1, 70), st.just(UNBOUNDED)))
+    rd_error = data.draw(st.booleans())
+    ar = ARBeat(id=2, addr=case["addr"], beats=beats, size=case["axsize"],
+                burst=case["kind"], txn=7)
+    bulk, ref = _loaded_pair(case)
+    for sram in (bulk, ref):
+        _push(sram.port.ar, ar.copy())
+        sram._tick_read(0)
+        sram._rd_error = rd_error
+        for _ in range(start):
+            sram._tick_read(0)
+            sram.port.r.commit()
+            sram.port.r.recv()
+    offer = bulk.span_offer(1, bound)
+    (flow,) = offer.flows
+    served = []
+    for _ in range(min(beats - 1 - start, bound)):
+        ref._tick_read(0)
+        ref.port.r.commit()
+        served.append(ref.port.r.recv())
+    first = served[0]
+    horizon = 1
+    while horizon < len(served) and (
+        (served[horizon].data, served[horizon].resp) == (first.data,
+                                                          first.resp)
+    ):
+        horizon += 1
+    assert flow.template_out == first
+    assert offer.horizon == horizon
