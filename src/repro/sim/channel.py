@@ -65,6 +65,7 @@ class Channel(Generic[T]):
         "_sent_total",
         "_recv_total",
         "_busy_cycles",
+        "_busy_mark",
         "_tracer",
         "_recv_listeners",
         "_send_listeners",
@@ -86,7 +87,9 @@ class Channel(Generic[T]):
         self._snapshot = 0
         self._sent_total = 0
         self._recv_total = 0
+        # Busy cycles through _busy_mark, the cycle of the last commit.
         self._busy_cycles = 0
+        self._busy_mark = 0
         self._tracer = None  # repro: lint-ok[snapshot-coverage] observer wiring, not simulated state
         self._recv_listeners: tuple[Component, ...] = ()  # repro: lint-ok[snapshot-coverage] observer wiring, not simulated state
         self._send_listeners: tuple[Component, ...] = ()  # repro: lint-ok[snapshot-coverage] observer wiring, not simulated state
@@ -229,20 +232,29 @@ class Channel(Generic[T]):
 
     def commit(self) -> None:
         """Clock edge: make this cycle's sends visible, refresh snapshot."""
+        sim = self._sim
+        cycle = sim.cycle
+        if self._snapshot:  # held for every cycle since the last commit
+            self._busy_cycles += cycle - self._busy_mark
+        self._busy_mark = cycle
         pending = len(self._pending)
-        new_beats = False
         if pending:
             self._queue.extend(self._pending)
             self._pending.clear()
-            new_beats = True  # now visible to the receiver
         occupancy = len(self._queue)
-        # The sender's headroom is snapshot + pending; it grows whenever a
-        # beat was consumed this cycle, even if a simultaneous send kept
-        # the queue length constant.
+        # New beats wake the receiver.  The sender's headroom is snapshot
+        # + pending; it grows (and wakes the sender) whenever a beat was
+        # consumed this cycle, even if a simultaneous send refilled it.
         space_freed = occupancy < self._snapshot + pending
         self._snapshot = occupancy
-        if occupancy:
-            self._busy_cycles += 1
+        if pending:
+            listeners = self._recv_listeners
+            if space_freed:
+                listeners += self._send_listeners
+        elif space_freed:
+            listeners = self._send_listeners
+        else:
+            return
         # Simulator.wake() semantics inlined (foreign-sim listeners
         # skipped), on a path shared with the recorder: only genuine
         # asleep -> awake transitions are counted — the counters measure
@@ -250,34 +262,18 @@ class Channel(Generic[T]):
         # transitions are per-cycle-frequent on churny workloads, so
         # the accounting is two subscripts into a dict the recorder
         # pre-seeded with every component — no method call, no .get().
-        if new_beats and self._recv_listeners:
-            sim = self._sim
-            active = sim._active
-            for component in self._recv_listeners:
-                if component._sim is sim and component not in active:
-                    active.add(component)
-                    rec = sim._recorder
-                    if rec is not None:
-                        rec._channel_wakes[component] += 1
-                        journal = sim._rec_journal
-                        if journal is not None:
-                            journal.append(
-                                (sim.cycle, "wake", component.name, "channel")
-                            )
-        if space_freed and self._send_listeners:
-            sim = self._sim
-            active = sim._active
-            for component in self._send_listeners:
-                if component._sim is sim and component not in active:
-                    active.add(component)
-                    rec = sim._recorder
-                    if rec is not None:
-                        rec._channel_wakes[component] += 1
-                        journal = sim._rec_journal
-                        if journal is not None:
-                            journal.append(
-                                (sim.cycle, "wake", component.name, "channel")
-                            )
+        active = sim._active
+        for component in listeners:
+            if component._sim is sim and component not in active:
+                active.add(component)
+                rec = sim._recorder
+                if rec is not None:
+                    rec._channel_wakes[component] += 1
+                    journal = sim._rec_journal
+                    if journal is not None:
+                        journal.append(
+                            (cycle, "wake", component.name, "channel")
+                        )
 
     # ------------------------------------------------------------------
     # snapshot contract
@@ -294,21 +290,27 @@ class Channel(Generic[T]):
                 f"channel {self.name!r} has uncommitted beats; snapshots "
                 "are legal only at commit boundaries"
             )
+        busy = self._busy_cycles
+        if self._snapshot:
+            # Folded through the capture cycle; restore re-marks there.
+            busy += self._sim.cycle - self._busy_mark
         return {
             "queue": list(self._queue),
             "snapshot": self._snapshot,
             "sent_total": self._sent_total,
             "recv_total": self._recv_total,
-            "busy_cycles": self._busy_cycles,
+            "busy_cycles": busy,
         }
 
     def state_restore(self, state: dict) -> None:
+        """Restore a capture; the simulator's clock must be restored first."""
         self._queue = deque(state["queue"])
         self._pending = []
         self._snapshot = state["snapshot"]
         self._sent_total = state["sent_total"]
         self._recv_total = state["recv_total"]
         self._busy_cycles = state["busy_cycles"]
+        self._busy_mark = self._sim.cycle
 
     # ------------------------------------------------------------------
     # introspection
@@ -329,6 +331,8 @@ class Channel(Generic[T]):
     @property
     def busy_cycles(self) -> int:
         """Cycles in which at least one committed beat was buffered."""
+        if self._snapshot:
+            return self._busy_cycles + self._sim.cycle - self._busy_mark
         return self._busy_cycles
 
     def attach_tracer(self, tracer) -> None:
@@ -426,7 +430,7 @@ class ExpressRoute:
         self.owner.wake()
 
     # ------------------------------------------------------------------
-    def _boundary(self, beat) -> bool:
+    def boundary(self, beat) -> bool:
         """A beat the order must not touch: burst end or foreign beat."""
         return beat.last or (self.guard is not None and not self.guard(beat))
 
@@ -439,7 +443,7 @@ class ExpressRoute:
         queue = self.src._queue
         if not queue:
             return False
-        if self._boundary(queue[0]):
+        if self.boundary(queue[0]):
             return True  # the pending cancellation must run
         return self.dst.can_send()
 
@@ -449,7 +453,7 @@ class ExpressRoute:
         if not queue:
             return
         beat = queue[0]
-        if self._boundary(beat):
+        if self.boundary(beat):
             # Normally intercepted by after_commit() the cycle the beat
             # surfaced; kept as a defensive hand-back.
             self.cancel()
@@ -469,7 +473,7 @@ class ExpressRoute:
         reference path would have.
         """
         queue = self.src._queue
-        if queue and self._boundary(queue[0]):
+        if queue and self.boundary(queue[0]):
             self.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

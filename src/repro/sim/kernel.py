@@ -8,7 +8,8 @@ Every cycle has two phases:
    beats on its output channels.
 2. *commit phase*: every registered :class:`~repro.sim.channel.Channel`
    commits, making the beats sent in this cycle visible to their receiver in
-   the next cycle.
+   the next cycle.  The active-set kernel commits only the channels touched
+   since their last commit: per-cycle counts are functions of the clock.
 
 Because channel occupancy that gates ``can_send`` is snapshotted at the
 commit, simulation results are deterministic and independent of the order in
@@ -30,7 +31,7 @@ kernel therefore maintains an *active set*:
   (used e.g. by the REALM unit to wake exactly at a budget-replenish edge)
   or be woken explicitly with :meth:`Component.wake` (used e.g. when a new
   operation is scripted onto a sleeping driver).
-* When the active set is empty and no channel has uncommitted beats, the
+* When the active set is empty and no channel is owed a commit, the
   simulator *fast-forwards* the clock to the next timed wake-up (or the end
   of the run) instead of stepping cycle by cycle.
 
@@ -236,7 +237,7 @@ class Simulator:
         # flag scopes it to runs whose express orders can join spans.
         self._span_enabled = bool(active_set and batched and span_replay)
         self._active: set[Component] = set()
-        self._hot_channels: set = set()  # channels that need a commit
+        self._hot_channels: set = set()  # channels owed a commit
         self._express: list = []  # list[ExpressRoute], installation order
         self._wake_heap: list[tuple[int, int, Component]] = []
         self._wake_seq = 0
@@ -272,9 +273,9 @@ class Simulator:
         # (the schedule engine) or other non-component state (the bus
         # guard); captured/restored alongside the kernel by name.
         self._state_clients: dict[str, object] = {}
-        # Introspection counters.
+        # Introspection counters (``ticks_skipped`` is derived).
         self.ticks_executed = 0
-        self.ticks_skipped = 0
+        self._slots_offset = 0  # sum of the add cycles; restore rebases it
         self.cycles_fast_forwarded = 0
         # Span-replay statistics (introspection only; deliberately not
         # part of the snapshot contract — spans are an execution
@@ -318,6 +319,7 @@ class Simulator:
             raise SimulationError(f"component {component.name!r} added twice")
         self._components.append(component)
         component._sim = self
+        self._slots_offset += self.cycle
         self._active.add(component)
         if not hasattr(component, "span_offer"):
             self._opaque.append(component)
@@ -581,12 +583,20 @@ class Simulator:
 
     def _quiescent(self) -> bool:
         """True when nothing will change until a timed wake-up (or never)."""
-        if not self._active_set_enabled or self._active:
+        if not self._active_set_enabled or self._active or self._hot_channels:
             return False
         for order in self._express:
             if order.ready():
                 return False
-        return all(not ch._pending for ch in self._hot_channels)
+        return True
+
+    def _owes_commit(self) -> bool:
+        """True while a channel touched outside a step has beats to
+        publish or space to free (a span must not skip that commit)."""
+        for channel in self._hot_channels:
+            if channel._pending or len(channel._queue) < channel._snapshot:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # execution
@@ -636,10 +646,6 @@ class Simulator:
                                 journal.append(
                                     (cycle, "sleep", component.name)
                                 )
-                    else:
-                        self.ticks_skipped += 1
-            else:
-                self.ticks_skipped += len(self._components)
         else:
             if rec is not None:
                 rec._occupancy[len(self._components)] += 1
@@ -658,16 +664,9 @@ class Simulator:
         if active_set:
             hot = self._hot_channels
             if hot:
-                cold = None
                 for channel in hot:
                     channel.commit()
-                    if not channel._queue:
-                        if cold is None:
-                            cold = [channel]
-                        else:
-                            cold.append(channel)
-                if cold is not None:
-                    hot.difference_update(cold)
+                hot.clear()
         else:
             for channel in self._channels:
                 channel.commit()
@@ -687,33 +686,27 @@ class Simulator:
     def _fast_forward(self, target: int) -> None:
         """Jump the clock to *target* while the system is quiescent.
 
-        Channels keep their per-cycle ``busy_cycles`` accounting and
-        watchers still observe every skipped cycle, so the jump is
-        invisible to everything except wall-clock time.
+        Watchers still observe every skipped cycle, and per-cycle counts
+        (``busy_cycles``, ``ticks_skipped``) are functions of the clock,
+        so the jump is invisible to everything except wall-clock time.
         """
         start = self.cycle
         if self._watchers:
-            # Watchers may wake components (e.g. by scripting new work);
-            # stop forwarding as soon as that happens.
+            # Watchers may wake components (e.g. by scripting new work)
+            # or touch channels; stop forwarding as soon as that happens.
             cycle = start
             while cycle < target:
                 self.cycle = cycle + 1
                 for watcher in self._watchers:
                     watcher(cycle)
                 cycle += 1
-                if self._active or any(
-                    ch._pending for ch in self._hot_channels
-                ):
+                if self._active or self._hot_channels:
                     break
         else:
             self.cycle = target
         skipped = self.cycle - start
         if skipped:
-            for channel in self._hot_channels:
-                if channel._queue:
-                    channel._busy_cycles += skipped
             self.cycles_fast_forwarded += skipped
-            self.ticks_skipped += skipped * len(self._components)
             rec = self._recorder
             if rec is not None:
                 rec.fast_forward(start, skipped)
@@ -770,10 +763,10 @@ class Simulator:
         the clock reaches *limit*) and returns True; returns False when
         *limit* is reached first.  Each iteration polls, then jumps a
         quiescent stretch, replays a span, or steps one cycle.  A span
-        attempt is skipped while the component that vetoed the last one
-        as opaque is still awake: it would veto again.  ``run`` and
-        ``run_until`` never call each other, so wrappers around either
-        see each run exactly once.
+        attempt is skipped while a channel owes a commit, and while the
+        component that vetoed the last one as opaque is still awake: it
+        would veto again.  ``run`` and ``run_until`` never call each
+        other, so wrappers around either see each run exactly once.
         """
         while not (
             predicate() if predicate is not None else self.cycle >= limit
@@ -791,6 +784,7 @@ class Simulator:
                 self._span_enabled
                 and not self._watchers
                 and self._span_veto not in self._active
+                and not self._owes_commit()
                 and attempt_span(self, limit)
             ):
                 continue
@@ -800,6 +794,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def ticks_skipped(self) -> int:
+        """One tick slot per component per cycle since its :meth:`add`,
+        less ``ticks_executed`` (always 0 on the naive kernel)."""
+        slots = len(self._components) * self.cycle - self._slots_offset
+        return slots - self.ticks_executed
+
     @property
     def components(self) -> tuple[Component, ...]:
         return tuple(self._components)

@@ -200,12 +200,8 @@ def attempt_span(sim, limit: int) -> bool:
     express = sim._express
     for order in express:
         queue = order.src._queue
-        if queue:
-            head = queue[0]
-            if head.last or (
-                order.guard is not None and not order.guard(head)
-            ):
-                return _abort(sim, "boundary")
+        if queue and order.boundary(queue[0]):
+            return _abort(sim, "boundary")
 
     # Phase 1: prove the span with MIN_SPAN-bounded offers, so horizon
     # scans stop after MIN_SPAN beats.  The component that refused last
@@ -302,12 +298,6 @@ def attempt_span(sim, limit: int) -> bool:
         # One beat entered and one left per cycle; occupancy unchanged.
         channel._sent_total += n
         channel._recv_total += n
-    for channel in sim._hot_channels:
-        # Same accounting rule as commit()/_fast_forward(): a channel
-        # holding beats is busy every covered cycle.
-        if channel._queue:
-            channel._busy_cycles += n
-    sim.ticks_skipped += n * len(sim._components)
     sim.spans_entered += 1
     sim.span_cycles_replayed += n
     rec = sim._recorder

@@ -166,6 +166,8 @@ def restore_simulator(sim, tree: dict) -> None:
     for order in tuple(sim._express):
         order.cancel()
     sim._express.clear()
+    # The clock first: channels re-mark their busy cycles at it.
+    sim.cycle = state["cycle"]
     for channel, channel_state in zip(sim._channels, state["channels"]):
         channel.state_restore(channel_state)
     for component, component_state in zip(
@@ -175,7 +177,6 @@ def restore_simulator(sim, tree: dict) -> None:
     kernel = state["kernel"]
     components = sim._components
     channels = sim._channels
-    sim.cycle = state["cycle"]
     previous = sim._active
     sim._active = {components[i] for i in kernel["active"]}
     if rec is not None:
@@ -188,7 +189,9 @@ def restore_simulator(sim, tree: dict) -> None:
     sim._wake_seq = kernel["wake_seq"]
     sim._hot_channels = {channels[i] for i in kernel["hot"]}
     sim.ticks_executed = kernel["ticks_executed"]
-    sim.ticks_skipped = kernel["ticks_skipped"]
+    # Rebase the offset the captured ticks_skipped is derived from.
+    slots = kernel["ticks_skipped"] + kernel["ticks_executed"]
+    sim._slots_offset = len(components) * sim.cycle - slots
     sim.cycles_fast_forwarded = kernel["cycles_fast_forwarded"]
     # Clients re-arm their commit-boundary hooks from their own state;
     # anything the fresh build armed (e.g. a schedule's first firings)

@@ -12,10 +12,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.realm import RegionConfig
 from repro.scenario import load_file, run_campaign, run_point, expand, validate
-from repro.sim import Simulator
+from repro.sim import Channel, Component, Simulator, drain
 from repro.system import SystemBuilder
 from repro.traffic import BandwidthHog, CoreModel, DmaEngine, susan_like_trace
 
@@ -353,3 +355,225 @@ def test_knob_write_mid_burst_is_cycle_identical():
         combo = (active_set, batched)
         assert result.observables == reference.observables, combo
         assert result.latencies == reference.latencies, combo
+
+
+# ----------------------------------------------------------------------
+# derived per-cycle counts: channel busy cycles and skipped ticks are
+# functions of the clock, so every clock advance (step, fast-forward,
+# span) agrees with the naive kernel's per-cycle commits by construction.
+# ----------------------------------------------------------------------
+def _busy_seen_by_a_watcher(active_set: bool):
+    sim = Simulator(active_set=active_set)
+    held = Channel(sim, "held")
+    held.send("beat")  # committed by the first step; never consumed
+    seen = []
+    sim.add_watcher(lambda cycle: seen.append(held.busy_cycles))
+    sim.run(10)
+    return seen, sim.cycles_fast_forwarded
+
+
+def test_watcher_reads_busy_cycles_during_a_fast_forward():
+    naive, _ = _busy_seen_by_a_watcher(active_set=False)
+    active, forwarded = _busy_seen_by_a_watcher(active_set=True)
+    assert naive == list(range(1, 11))
+    assert active == naive
+    assert forwarded == 9  # the watcher really read inside the jump
+
+
+class _Feeder(Component):
+    """Sends whenever it can; sleeps while its channel is full."""
+
+    def __init__(self, channel):
+        super().__init__("feeder")
+        self.channel = channel
+        self.watch(channel)
+
+    def tick(self, cycle):
+        if self.channel.can_send():
+            self.channel.send(cycle)
+
+    def is_idle(self):
+        return not self.channel.can_send()
+
+
+def _drained_between_runs(active_set: bool) -> tuple:
+    sim = Simulator(active_set=active_set)
+    channel = Channel(sim, "fed", capacity=1)
+    sim.add(_Feeder(channel))
+    sim.run(5)
+    drain(channel)  # a consume outside a step: a commit is owed
+    sim.run(20)
+    return channel.sent_total, channel.busy_cycles
+
+
+def test_consume_outside_a_step_is_committed_before_a_fast_forward():
+    naive = _drained_between_runs(active_set=False)
+    assert naive == (2, 24)
+    assert _drained_between_runs(active_set=True) == naive
+
+
+def _drained_before_a_span(active_set: bool) -> tuple:
+    sim = Simulator(active_set=active_set)
+    system = (
+        SystemBuilder(sim=sim)
+        .add_manager("dma")
+        .add_sram("mem", base=0, size=0x40000)
+        .build()
+    )
+    system.attach(
+        "dma",
+        lambda port: DmaEngine(port, src_base=0x0, src_size=0x8000,
+                               dst_base=0x10000, dst_size=0x8000,
+                               burst_beats=256),
+    )
+    channel = Channel(sim, "fed", capacity=1)
+    sim.add(_Feeder(channel))
+    sim.run(300)  # the DMA streams: the next stretch could be a span
+    drain(channel)
+    sim.run(50)
+    return (drain(channel), channel.busy_cycles), sim.spans_entered
+
+
+def test_consume_outside_a_step_is_committed_before_a_span():
+    naive, _ = _drained_before_a_span(active_set=False)
+    assert naive == ([301], 349)  # the feeder refilled the next cycle
+    active, spans = _drained_before_a_span(active_set=True)
+    assert active == naive
+    assert spans > 0
+
+
+class _Pacer(Component):
+    """Sends into (or receives from) one channel at most once every
+    *period* cycles: asleep on a timer between turns, and on the channel
+    while it is full (or empty)."""
+
+    def __init__(self, name, channel, sends, period):
+        super().__init__(name)
+        self.channel = channel
+        self.sends = sends
+        self.period = period
+        self.next_at = 0
+        self.moved = 0
+        self._idle = False
+        self.watch(channel)
+
+    def tick(self, cycle):
+        channel = self.channel
+        if cycle < self.next_at:
+            self.wake_at(self.next_at)
+            self._idle = True
+            return
+        ready = channel.can_send() if self.sends else channel.can_recv()
+        if ready:
+            if self.sends:
+                channel.send(self.moved)
+            else:
+                channel.recv()
+            self.moved += 1
+            self.next_at = cycle + self.period
+        self._idle = not ready
+
+    def is_idle(self):
+        return self._idle
+
+    def state_capture(self):
+        return {"next_at": self.next_at, "moved": self.moved}
+
+    def state_restore(self, state):
+        self.next_at = state["next_at"]
+        self.moved = state["moved"]
+
+
+_CHANNELS = 2
+
+_PACER = st.tuples(
+    st.just("add"), st.integers(0, _CHANNELS - 1), st.booleans(),
+    st.integers(1, 4),
+)
+# Each generated step touches the machine, then runs it: a component
+# added mid-run, a send or a receive outside a step, a capture, or a
+# restore of the last capture.
+_STEPS = st.tuples(
+    st.one_of(
+        _PACER,
+        st.tuples(st.just("send"), st.integers(0, _CHANNELS - 1)),
+        st.tuples(st.just("recv"), st.integers(0, _CHANNELS - 1)),
+        st.tuples(st.just("capture")),
+        st.tuples(st.just("restore")),
+    ),
+    st.integers(0, 30),
+)
+
+
+class _Machine:
+    """One simulator driven by a generated program."""
+
+    def __init__(self, active_set, capacities):
+        self.sim = Simulator(active_set=active_set)
+        self.channels = [
+            Channel(self.sim, f"ch{i}", capacity)
+            for i, capacity in enumerate(capacities)
+        ]
+        self.added_at = []
+        self.saved = None
+
+    def apply(self, step):
+        sim = self.sim
+        kind = step[0]
+        if kind == "run":
+            sim.run(step[1])
+        elif kind == "add":
+            _, index, sends, period = step
+            name = f"pacer{len(self.added_at)}"
+            sim.add(_Pacer(name, self.channels[index], sends, period))
+            self.added_at.append(sim.cycle)
+        elif kind == "send":
+            channel = self.channels[step[1]]
+            if channel.can_send():
+                channel.send("outside")
+        elif kind == "recv":
+            channel = self.channels[step[1]]
+            if channel.can_recv():
+                channel.recv()
+        elif kind == "capture":
+            if not any(channel._pending for channel in self.channels):
+                self.saved = (len(self.added_at), sim.checkpoint(),
+                              self.counts())
+        elif self.saved is not None and self.saved[0] == len(self.added_at):
+            _, tree, counts = self.saved
+            sim.restore_checkpoint(tree)
+            assert self.counts() == counts
+
+    def counts(self):
+        return [
+            (ch.busy_cycles, ch.sent_total, ch.recv_total)
+            for ch in self.channels
+        ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacities=st.lists(st.integers(1, 3), min_size=_CHANNELS,
+                        max_size=_CHANNELS),
+    pacers=st.lists(_PACER, min_size=1, max_size=3),
+    program=st.lists(_STEPS, min_size=1, max_size=12),
+)
+def test_derived_counts_match_the_naive_kernel(capacities, pacers, program):
+    """Busy cycles and message counts equal the naive kernel's at every
+    commit boundary of a generated program, and the tick slots of every
+    registered component are either executed or skipped."""
+    naive = _Machine(False, capacities)
+    active = _Machine(True, capacities)
+    steps = pacers + [
+        step for touch, cycles in program for step in (touch, ("run", cycles))
+    ]
+    for step in steps:
+        naive.apply(step)
+        active.apply(step)
+        assert active.sim.cycle == naive.sim.cycle, step
+        assert active.counts() == naive.counts(), step
+        assert naive.sim.ticks_skipped == 0
+        for machine in (naive, active):
+            sim = machine.sim
+            slots = sum(sim.cycle - added for added in machine.added_at)
+            assert sim.ticks_executed + sim.ticks_skipped == slots, step
