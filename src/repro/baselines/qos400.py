@@ -50,6 +50,11 @@ class QosArbiter:
         ]
         return self._rr.grant(masked)
 
+    def grant_one(self, idx: int) -> int:
+        """:meth:`grant` for a request vector in which only *idx* is set:
+        a sole requester holds the top priority by definition."""
+        return self._rr.grant_one(idx)
+
     def peek(self, requests: Sequence[bool]) -> Optional[int]:
         if not any(requests):
             return None

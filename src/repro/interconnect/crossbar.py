@@ -28,6 +28,12 @@ active set; the kernel forwards the beats with identical observable
 effects, and the order tears itself down at the burst boundary (or on a
 foreign beat), waking the crossbar so every arbitration, DECERR, and
 ``last`` decision still runs on the per-beat reference path.
+
+Each routing pass decodes every head once into request bit masks (the
+destination of each manager's AW/AR head, the owner of each
+subordinate's B/R head), a sole requester skips the arbiter scan, and
+the crossbar sleeps while every waiting beat is blocked (DESIGN.md
+section 9).
 """
 
 from __future__ import annotations
@@ -75,6 +81,14 @@ class AxiCrossbar(Component):
         self.watch(*self.subs, role="manager")
         self.addr_map = addr_map
         self.idmap = IdMap(inner_id_bits)
+        # Response routing reads the manager prefix of a widened ID by
+        # shift and strips it by mask (IdMap's layout, without the
+        # per-beat validation of IdMap.split), from the head beats of
+        # the subordinates' response channels.
+        self._id_shift = inner_id_bits
+        self._inner_mask = (1 << inner_id_bits) - 1
+        self._sub_b = tuple(sub.b for sub in self.subs)
+        self._sub_r = tuple(sub.r for sub in self.subs)
         self.qos_arbitration = qos_arbitration
         # Per-manager QoS override (control-plane knob): when set, it
         # replaces the per-beat AxQOS value at the arbitration points.
@@ -145,36 +159,68 @@ class AxiCrossbar(Component):
         self._route_r()
 
     def is_idle(self) -> bool:
-        # Routing is purely input-driven: with no recv-able beat on any
-        # side and no queued DECERR responses, every route pass is a no-op
-        # (arbiters do not advance when no one requests).  Channels whose
-        # burst middle an express order is forwarding don't count — their
-        # beats move without the crossbar, and the order re-wakes it at
-        # the burst boundary.
+        """Blocked-state sleeping: true when no pass would act next tick.
+
+        Every waiting beat then sits behind a full channel, a W
+        reservation or an R lock (arbiters do not advance when no one
+        can be granted).  A full channel frees at a commit that wakes
+        the crossbar as its sender; reservations and locks change only
+        in its own tick; and a channel an express order manages wakes
+        the crossbar at the order's teardown.
+        """
+        managers, subs = self.managers, self.subs
+        n_mgr = len(managers)
+        decode = self._decode
         w_express = self._w_express
-        for mi, mgr in enumerate(self.managers):
-            if mgr.aw.can_recv() or mgr.ar.can_recv():
+        r_lock = self._r_lock
+        for mi, mgr in enumerate(managers):
+            queue = mgr.aw._queue
+            if queue:
+                dest = decode(queue[0].addr)
+                if dest == _ERR or subs[dest].aw.can_send():
+                    return False
+            queue = mgr.ar._queue
+            if queue:
+                dest = decode(queue[0].addr)
+                if dest == _ERR or subs[dest].ar.can_send():
+                    return False
+            queue = mgr.w._queue
+            if queue and mi not in w_express and self._w_route[mi]:
+                dest = self._w_route[mi][0]
+                if dest == _ERR:
+                    return False
+                order = self._w_order[dest]
+                if (not order or order[0] == mi) and (
+                    (self._batch_mode and not queue[0].last)
+                    or subs[dest].w.can_send()
+                ):
+                    return False
+            if self._err_b[mi] and mgr.b.can_send():
                 return False
-            if mgr.w.can_recv() and mi not in w_express:
-                return False
-        express_srcs = (
-            {order.src for order in self._r_express.values()}
-            if self._r_express
-            else None
-        )
-        for sub in self.subs:
-            if sub.b.can_recv():
-                return False
-            if sub.r.can_recv() and (
-                express_srcs is None or sub.r not in express_srcs
+            if (
+                self._err_r[mi]
+                and r_lock[mi] in (None, len(subs))
+                and mgr.r.can_send()
             ):
                 return False
-        for queue in self._err_b:
+        shift = self._id_shift
+        r_express = self._r_express
+        for si, sub in enumerate(subs):
+            queue = sub.b._queue
             if queue:
-                return False
-        for queue in self._err_r:
+                owner = queue[0].id >> shift
+                if owner < n_mgr and managers[owner].b.can_send():
+                    return False
+            queue = sub.r._queue
             if queue:
-                return False
+                owner = queue[0].id >> shift
+                if (
+                    owner < n_mgr
+                    and owner not in r_express
+                    and r_lock[owner] in (None, si)
+                    and managers[owner].r.can_send()
+                ):
+                    return False
         return True
 
     # ------------------------------------------------------------------
@@ -269,14 +315,14 @@ class AxiCrossbar(Component):
         the kernel.  The guard cancels the order the moment a beat with a
         foreign manager prefix surfaces (subordinates emit R bursts
         contiguously, so this only happens at burst boundaries)."""
-        idmap = self.idmap
+        shift, inner_mask = self._id_shift, self._inner_mask
 
         def guard(beat) -> bool:
-            return idmap.manager_of(beat.id) == mi
+            return beat.id >> shift == mi
 
         def transform(raw) -> RBeat:
             return RBeat(
-                id=idmap.inner_of(raw.id),
+                id=raw.id & inner_mask,
                 data=raw.data,
                 resp=raw.resp,
                 last=raw.last,
@@ -304,11 +350,15 @@ class AxiCrossbar(Component):
 
     def _route_aw(self) -> None:
         managers = self.managers
-        heads: Optional[list[Optional[int]]] = None
+        # Destination bit masks: bit mi of masks[si] is set while manager
+        # mi's AW head decodes to subordinate si.  A manager sends at
+        # most one AW per cycle, so a grant exposes no head to decode.
+        masks: Optional[list[int]] = None
         for mi, m in enumerate(managers):
-            if not m.aw._queue:
+            queue = m.aw._queue
+            if not queue:
                 continue
-            dest = self._decode(m.aw._queue[0].addr)
+            dest = self._decode(queue[0].addr)
             if dest == _ERR:
                 # Decode misses are absorbed immediately (no subordinate
                 # involved).
@@ -316,21 +366,17 @@ class AxiCrossbar(Component):
                 self._w_route[mi].append(_ERR)
                 self._err_w_ids[mi].append(beat.id)
                 self.decode_errors += 1
-            else:
-                if heads is None:
-                    heads = [None] * len(managers)
-                heads[mi] = dest
-        if heads is None:
+                continue
+            if masks is None:
+                masks = [0] * len(self.subs)
+            masks[dest] |= 1 << mi
+        if masks is None:
             return
-        for si, sub in enumerate(self.subs):
-            if not sub.aw.can_send():
+        for si, mask in enumerate(masks):
+            sub = self.subs[si]
+            if not mask or not sub.aw.can_send():
                 continue
-            requests = [dest == si for dest in heads]
-            if True not in requests:
-                continue  # an all-idle grant would be a no-op anyway
-            granted = self._aw_arb[si].grant(requests)
-            if granted is None:
-                continue
+            granted = _grant(self._aw_arb[si], mask, len(managers))
             beat = managers[granted].aw.recv()
             fwd = beat.copy()
             fwd.id = self.idmap.compose(granted, beat.id)
@@ -338,7 +384,6 @@ class AxiCrossbar(Component):
             self._w_order[si].append(granted)
             self._w_route[granted].append(si)
             self.aw_forwarded += 1
-            heads[granted] = None  # one AW per manager per cycle
 
     def _route_w(self) -> None:
         w_express = self._w_express
@@ -375,11 +420,12 @@ class AxiCrossbar(Component):
 
     def _route_ar(self) -> None:
         managers = self.managers
-        heads: Optional[list[Optional[int]]] = None
+        masks: Optional[list[int]] = None  # as in _route_aw
         for mi, m in enumerate(managers):
-            if not m.ar._queue:
+            queue = m.ar._queue
+            if not queue:
                 continue
-            dest = self._decode(m.ar._queue[0].addr)
+            dest = self._decode(queue[0].addr)
             if dest == _ERR:
                 beat = m.ar.recv()
                 self._err_r[mi].extend(
@@ -392,112 +438,124 @@ class AxiCrossbar(Component):
                     for i in range(beat.beats)
                 )
                 self.decode_errors += 1
-            else:
-                if heads is None:
-                    heads = [None] * len(managers)
-                heads[mi] = dest
-        if heads is None:
+                continue
+            if masks is None:
+                masks = [0] * len(self.subs)
+            masks[dest] |= 1 << mi
+        if masks is None:
             return
-        for si, sub in enumerate(self.subs):
-            if not sub.ar.can_send():
+        for si, mask in enumerate(masks):
+            sub = self.subs[si]
+            if not mask or not sub.ar.can_send():
                 continue
-            requests = [dest == si for dest in heads]
-            if True not in requests:
-                continue
-            granted = self._ar_arb[si].grant(requests)
-            if granted is None:
-                continue
+            granted = _grant(self._ar_arb[si], mask, len(managers))
             beat = managers[granted].ar.recv()
             fwd = beat.copy()
             fwd.id = self.idmap.compose(granted, beat.id)
             sub.ar.send(fwd)
             self.ar_forwarded += 1
-            heads[granted] = None
 
     # ------------------------------------------------------------------
     # response path
     # ------------------------------------------------------------------
-    def _b_source_ready(self, mi: int, src: int) -> bool:
-        if src == len(self.subs):
-            return bool(self._err_b[mi])
-        ch = self.subs[src].b
-        return ch.can_recv() and self.idmap.manager_of(ch.peek().id) == mi
+    def _owner_masks(self, channels, errors) -> Optional[list[int]]:
+        """Per-manager source bit masks for one response pass.
+
+        Bit ``si`` of ``masks[mi]`` is set while subordinate *si*'s head
+        beat on its ``channels`` entry carries manager *mi*'s ID prefix;
+        bit ``len(subs)`` while manager *mi*'s DECERR queue in *errors*
+        holds a beat.  ``None`` when no source holds a beat.
+        """
+        shift = self._id_shift
+        n_mgr = len(self.managers)
+        masks: Optional[list[int]] = None
+        for si, channel in enumerate(channels):
+            queue = channel._queue
+            if queue:
+                owner = queue[0].id >> shift
+                if owner < n_mgr:
+                    if masks is None:
+                        masks = [0] * n_mgr
+                    masks[owner] |= 1 << si
+        if any(errors):
+            err_bit = 1 << len(self.subs)
+            for mi, queue in enumerate(errors):
+                if queue:
+                    if masks is None:
+                        masks = [0] * n_mgr
+                    masks[mi] |= err_bit
+        return masks
+
+    def _expose(self, masks: list[int], channel, si: int, mi: int) -> None:
+        """Decode the head a pop by manager *mi* exposed on subordinate
+        *si*'s *channel*: a later manager in the same pass may take it."""
+        queue = channel._queue
+        if queue:
+            owner = queue[0].id >> self._id_shift
+            if mi < owner < len(masks):
+                masks[owner] |= 1 << si
 
     def _route_b(self) -> None:
-        n_sub = len(self.subs)
-        if not any(sub.b._queue for sub in self.subs) and not any(
-            self._err_b
-        ):
+        subs = self.subs
+        masks = self._owner_masks(self._sub_b, self._err_b)
+        if masks is None:
             return
-        for mi, mgr in enumerate(self.managers):
+        n_sub = len(subs)
+        for mi, mask in enumerate(masks):
+            if not mask:
+                continue
+            mgr = self.managers[mi]
             if not mgr.b.can_send():
                 continue
-            requests = [self._b_source_ready(mi, s) for s in range(n_sub + 1)]
-            if True not in requests:
-                continue
-            granted = self._b_arb[mi].grant(requests)
-            if granted is None:
-                continue
+            granted = _grant(self._b_arb[mi], mask, n_sub + 1)
             if granted == n_sub:
                 mgr.b.send(self._err_b[mi].popleft())
-            else:
-                beat = self.subs[granted].b.recv()
-                mgr.b.send(
-                    BBeat(
-                        id=self.idmap.inner_of(beat.id),
-                        resp=beat.resp,
-                        user=beat.user,
-                        txn=beat.txn,
-                    )
+                continue
+            channel = subs[granted].b
+            beat = channel.recv()
+            mgr.b.send(
+                BBeat(
+                    id=beat.id & self._inner_mask,
+                    resp=beat.resp,
+                    user=beat.user,
+                    txn=beat.txn,
                 )
-
-    def _r_source_ready(self, mi: int, src: int) -> bool:
-        if src == len(self.subs):
-            return bool(self._err_r[mi])
-        ch = self.subs[src].r
-        return ch.can_recv() and self.idmap.manager_of(ch.peek().id) == mi
+            )
+            self._expose(masks, channel, granted, mi)
 
     def _route_r(self) -> None:
-        n_sub = len(self.subs)
-        if not any(sub.r._queue for sub in self.subs) and not any(
-            self._err_r
-        ):
+        subs = self.subs
+        masks = self._owner_masks(self._sub_r, self._err_r)
+        if masks is None:
             return
+        n_sub = len(subs)
         r_express = self._r_express
-        for mi, mgr in enumerate(self.managers):
-            if mi in r_express:
-                continue  # the kernel is forwarding this burst middle
+        for mi, mask in enumerate(masks):
+            if not mask or mi in r_express:
+                continue  # nothing to route, or the kernel forwards it
+            mgr = self.managers[mi]
             if not mgr.r.can_send():
                 continue
             src = self._r_lock[mi]
             if src is None:
-                requests = [
-                    self._r_source_ready(mi, s) for s in range(n_sub + 1)
-                ]
-                if True not in requests:
-                    continue
-                src = self._r_arb[mi].grant(requests)
-                if src is None:
-                    continue
+                src = _grant(self._r_arb[mi], mask, n_sub + 1)
                 self._r_lock[mi] = src
-            elif not self._r_source_ready(mi, src):
-                continue
-            if (
-                self._batch_mode
-                and src != n_sub
-                and not self.subs[src].r._queue[0].last
-            ):
-                # Locked, uncontended middle: hand the span to the kernel
-                # (the express phase moves the beat this cycle).
-                self._install_r_express(mi, src)
+            elif not mask >> src & 1:
                 continue
             if src == n_sub:
                 beat = self._err_r[mi].popleft()
                 mgr.r.send(beat)
             else:
-                raw = self.subs[src].r.recv()
+                channel = subs[src].r
+                if self._batch_mode and not channel._queue[0].last:
+                    # Locked, uncontended middle: hand the span to the
+                    # kernel (the express phase moves the beat this
+                    # cycle).
+                    self._install_r_express(mi, src)
+                    continue
+                raw = channel.recv()
                 beat = RBeat(
-                    id=self.idmap.inner_of(raw.id),
+                    id=raw.id & self._inner_mask,
                     data=raw.data,
                     resp=raw.resp,
                     last=raw.last,
@@ -505,5 +563,17 @@ class AxiCrossbar(Component):
                     txn=raw.txn,
                 )
                 mgr.r.send(beat)
+                self._expose(masks, channel, src, mi)
             if beat.last:
                 self._r_lock[mi] = None
+
+
+def _grant(arbiter, mask: int, n: int) -> int:
+    """Grant one requester of the non-empty request bit *mask*.
+
+    A sole requester takes ``grant_one`` (equal to a one-hot ``grant``);
+    only a contested output pays for the full request vector.
+    """
+    if not mask & (mask - 1):
+        return arbiter.grant_one(mask.bit_length() - 1)
+    return arbiter.grant([bool(mask >> i & 1) for i in range(n)])

@@ -19,6 +19,13 @@ class IsolationMode(Enum):
     ISOLATED = "isolated"
 
 
+# The passes test the mode every cycle; a member lookup through the enum
+# class costs several times a module-global load.
+_PASS = IsolationMode.PASS
+_DRAINING = IsolationMode.DRAINING
+_ISOLATED = IsolationMode.ISOLATED
+
+
 class IsolationStage:
     """Ingress stage of the REALM unit pipeline."""
 
@@ -43,20 +50,18 @@ class IsolationStage:
     # ------------------------------------------------------------------
     def request_isolate(self, reason: str = "user") -> None:
         self.reasons.add(reason)
-        if self.mode == IsolationMode.PASS:
+        if self.mode is _PASS:
             self.isolation_events += 1
-            self.mode = (
-                IsolationMode.ISOLATED if self._drained else IsolationMode.DRAINING
-            )
+            self.mode = _ISOLATED if self._drained else _DRAINING
 
     def release(self, reason: str = "user") -> None:
         self.reasons.discard(reason)
         if not self.reasons:
-            self.mode = IsolationMode.PASS
+            self.mode = _PASS
 
     @property
     def isolated(self) -> bool:
-        return self.mode == IsolationMode.ISOLATED
+        return self.mode is _ISOLATED
 
     @property
     def outstanding(self) -> int:
@@ -69,8 +74,17 @@ class IsolationStage:
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
+    def request_pending(self) -> bool:
+        """True when :meth:`tick_request` has work: a beat waits on the
+        manager side (passed, counted as blocked, or owed write data),
+        or a drain is in progress."""
+        up = self.up
+        if up.aw._queue or up.ar._queue or up.w._queue:
+            return True
+        return self.mode is _DRAINING
+
     def tick_request(self, cycle: int) -> None:
-        passing = self.mode == IsolationMode.PASS
+        passing = self.mode is _PASS
         if passing:
             if self.up.aw.can_recv() and self.down.aw.can_send():
                 beat = self.up.aw.recv()
@@ -95,8 +109,18 @@ class IsolationStage:
             self.down.w.send(beat)
             if beat.last:
                 self._w_bursts_owed -= 1
-        if self.mode == IsolationMode.DRAINING and self._drained:
-            self.mode = IsolationMode.ISOLATED
+        if self.mode is _DRAINING and self._drained:
+            self.mode = _ISOLATED
+
+    def response_pending(self) -> bool:
+        """True when :meth:`tick_response` has work: a response beat on
+        the inner wires, or a drain is in progress."""
+        down = self.down
+        return (
+            down.b._item is not None
+            or down.r._item is not None
+            or self.mode is _DRAINING
+        )
 
     def tick_response(self, cycle: int) -> None:
         if self.down.b.can_recv() and self.up.b.can_send():
@@ -107,8 +131,8 @@ class IsolationStage:
             self.up.r.send(beat)
             if beat.last:
                 self.outstanding_reads -= 1
-        if self.mode == IsolationMode.DRAINING and self._drained:
-            self.mode = IsolationMode.ISOLATED
+        if self.mode is _DRAINING and self._drained:
+            self.mode = _ISOLATED
 
     # ------------------------------------------------------------------
     # snapshot contract

@@ -74,7 +74,11 @@ class MonitorRegulationStage:
 
     @property
     def budget_exhausted(self) -> bool:
-        return self.regulation_enabled and any(r.depleted for r in self.regions)
+        if self.regulation_enabled:
+            for region in self.regions:
+                if region.depleted:
+                    return True
+        return False
 
     def region_snapshot(self, idx: int) -> BookkeepingSnapshot:
         return self.books[idx].snapshot()
@@ -109,6 +113,14 @@ class MonitorRegulationStage:
 
     def _advance_clocks(self, n: int) -> None:
         for region, book in zip(self.regions, self.books):
+            if n == 1 and (
+                region.cycles_into_period + 1 < region.config.period_cycles
+            ):
+                # One cycle inside the period (an awake unit's tick):
+                # no edge, so no generic catch-up.
+                region.cycles_into_period += 1
+                book.cycles_into_period += 1
+                continue
             edges = region.advance_cycles(n)
             if edges:
                 book.on_period_rollover()
@@ -176,6 +188,17 @@ class MonitorRegulationStage:
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
+    def request_pending(self) -> bool:
+        """True when :meth:`tick_request` has a request beat to admit or
+        pass (denials and stall cycles are counted only for waiting
+        address beats)."""
+        up = self.up
+        return (
+            up.aw._item is not None
+            or up.w._item is not None
+            or up.ar._item is not None
+        )
+
     def tick_request(self, cycle: int) -> None:
         # Write address.
         if self.up.aw.can_recv() and self.down.aw.can_send():
@@ -200,6 +223,13 @@ class MonitorRegulationStage:
                 self._charge(region_idx, beat.total_bytes, is_read=True)
                 self._read_inflight[beat.id].append((cycle, region_idx))
                 self.outstanding += 1
+
+    def response_pending(self) -> bool:
+        """True when a response beat waits on the downstream channels."""
+        down = self.down
+        if down.b._queue or down.r._queue:
+            return True
+        return False
 
     def tick_response(self, cycle: int) -> None:
         if self.down.b.can_recv() and self.up.b.can_send():

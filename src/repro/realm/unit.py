@@ -57,6 +57,7 @@ class RealmUnit(Component):
         link_b = WireBundle(f"{name}.split2wbuf")
         link_c = WireBundle(f"{name}.wbuf2mr")
         self._links = (link_a, link_b, link_c)
+        self._wires = tuple(w for link in self._links for w in link.channels)
         self.isolation = IsolationStage(up, link_a, name=f"{name}.isolate")
         self.splitter = BurstSplitterStage(
             link_a, link_b, config=self, name=f"{name}.splitter"
@@ -278,16 +279,28 @@ class RealmUnit(Component):
         if self._frozen_since is not None:
             self._catch_up_frozen(cycle - 1)
             self._frozen_since = None
-        self.mr.on_cycle(cycle)
+        mr = self.mr
+        mr.on_cycle(cycle)
         self._fsm()
-        self.isolation.tick_request(cycle)
-        self.splitter.tick_request(cycle)
-        self.write_buffer.tick_request(cycle)
-        self.mr.tick_request(cycle)
-        self.mr.tick_response(cycle)
-        self.write_buffer.tick_response(cycle)
-        self.splitter.tick_response(cycle)
-        self.isolation.tick_response(cycle)
+        # A stage pass runs only on pending work; each stage owns the
+        # test of its own inputs and queues (DESIGN.md section 5).
+        iso, sp, wb = self.isolation, self.splitter, self.write_buffer
+        if iso.request_pending():
+            iso.tick_request(cycle)
+        if sp.request_pending():
+            sp.tick_request(cycle)
+        if wb.request_pending():
+            wb.tick_request(cycle)
+        if mr.request_pending():
+            mr.tick_request(cycle)
+        if mr.response_pending():
+            mr.tick_response(cycle)
+        if wb.response_pending():
+            wb.tick_response(cycle)
+        if sp.response_pending():
+            sp.tick_response(cycle)
+        if iso.response_pending():
+            iso.tick_response(cycle)
 
     def is_idle(self) -> bool:
         """The unit may sleep only when completely quiescent: no beat in
@@ -299,12 +312,13 @@ class RealmUnit(Component):
         if self._pending_reconfig:
             return False
         up, down = self.up, self.down
+        mr = self.mr
         if (
-            not self.mr.stalled_this_cycle
-            and not self.mr.transferring_this_cycle
+            not mr.stalled_this_cycle
+            and not mr.transferring_this_cycle
+            and not (up.aw._queue or up.w._queue or up.ar._queue)
+            and not (down.b._queue or down.r._queue)
             and self._unit_empty()
-            and not (up.aw.can_recv() or up.w.can_recv() or up.ar.can_recv())
-            and not (down.b.can_recv() or down.r.can_recv())
         ):
             self._freeze_sig = None
             edge = self.mr.next_replenish_edge()
@@ -337,6 +351,22 @@ class RealmUnit(Component):
         """
         if self._pending_reconfig:
             return None
+        link_a, link_b, link_c = self._links
+        # The most common refusal first, before any settled-state work:
+        # a beat held on an internal wire (a stalled pipeline).  Any W,
+        # R, B or AR beat there, or an AW awaiting M&R admission, would
+        # move or be decided inside the span.  Only the splitter's AW
+        # wires may hold a fragment AW at rest; they are checked below.
+        for link in self._links:
+            if (
+                link.w._item is not None
+                or link.r._item is not None
+                or link.b._item is not None
+                or link.ar._item is not None
+            ):
+                return None
+        if link_c.aw._item is not None:
+            return None
         if (
             self._frozen_since is not None
             and self._frozen_applied_through != cycle - 1
@@ -361,33 +391,19 @@ class RealmUnit(Component):
         # so settled reasons settle the mode as well.
         if iso.reasons != settled:
             return None
-        link_a, link_b, link_c = self._links
         # No address-phase or response-boundary event may be in flight:
         # AW/AR admission charges budget and B completion closes a burst,
         # so any of them inside the span would be nonlinear.
         if self.up.aw._queue or self.up.ar._queue or self.down.b._queue:
             return None
-        if (
-            link_a.ar.occupancy
-            or link_b.ar.occupancy
-            or link_c.ar.occupancy
-            or sp._ar_fragments
-        ):
-            return None
-        for link in self._links:
-            if link.w.occupancy or link.r.occupancy or link.b.occupancy:
-                return None
-        # A fragment AW may legitimately rest frozen on the splitter ->
-        # write-buffer wire while the buffer's AW queue is full; every
-        # other AW position must be provably at rest.
-        if link_c.aw.occupancy:
+        if sp._ar_fragments:
             return None
         if sp._aw_fragments:
-            if not link_b.aw.occupancy:
+            if link_b.aw._item is None:
                 return None  # splitter would emit the next fragment
-        elif link_a.aw.occupancy:
+        elif link_a.aw._item is not None:
             return None  # splitter would ingest a new AW
-        if link_b.aw.occupancy and not (
+        if link_b.aw._item is not None and not (
             wb.enabled and len(wb._aw_q) == wb.max_pending_aw
         ):
             return None  # the buffer (or bypass) would move the AW
@@ -561,33 +577,40 @@ class RealmUnit(Component):
             book.stall_cycles += stalls * n
 
     def _fsm(self) -> None:
+        # A trigger is re-asserted only when it changes: the isolation
+        # mode is PASS exactly while no reason is held, so asserting a
+        # held reason (or releasing an absent one) is a no-op.
+        iso = self.isolation
+        reasons = iso.reasons
         # User-commanded isolation.
         if self.config.user_isolate:
-            self.isolation.request_isolate("user")
-        else:
-            self.isolation.release("user")
+            if "user" not in reasons:
+                iso.request_isolate("user")
+        elif "user" in reasons:
+            iso.release("user")
         # Budget-driven isolation: engaged while any region is depleted,
         # released when the period replenishes the budget.
         if self.mr.budget_exhausted:
-            self.isolation.request_isolate("budget")
-        else:
-            self.isolation.release("budget")
+            if "budget" not in reasons:
+                iso.request_isolate("budget")
+        elif "budget" in reasons:
+            iso.release("budget")
         # Intrusive reconfiguration: drain, apply, release.
         if self._pending_reconfig:
-            self.isolation.request_isolate("reconfig")
-            if self.isolation.isolated and self._unit_empty():
+            iso.request_isolate("reconfig")
+            if iso.isolated and self._unit_empty():
                 for kind, payload in self._pending_reconfig:
                     self._apply_reconfig(kind, payload)
                 self._pending_reconfig.clear()
-                self.isolation.release("reconfig")
+                iso.release("reconfig")
 
     def _unit_empty(self) -> bool:
         """True when no beat is buffered in any internal link or stage."""
-        if any(w.occupancy for link in self._links for w in link.channels):
-            return False
-        if self.write_buffer.occupancy or self.write_buffer.buffered_bursts:
-            return False
-        return True
+        for wire in self._wires:
+            if wire._item is not None:
+                return False
+        wb = self.write_buffer
+        return not (wb._w_q or wb._complete_bursts)
 
     # ------------------------------------------------------------------
     # snapshot contract

@@ -418,6 +418,27 @@ def _until_waiting(
     return waiting
 
 
+def _run_chunk(
+    sim, pred: Callable[[], bool], chunk_end: int, what: str
+) -> None:
+    """Advance until *pred()* holds or the clock reaches *chunk_end*.
+
+    The chunk end is a transient commit-boundary hook at ``chunk_end -
+    1`` whose firing the predicate reads, so the predicate depends on
+    state only: fast-forward and span replay stop at that boundary and
+    never jump past it, and no hook due at *chunk_end* fires early.  A
+    hook left pending when *pred* holds first is dropped by a restore,
+    like every transient hook.
+    """
+    ended: list[int] = []
+    sim.call_at_transient(chunk_end - 1, ended.append)
+    sim.run_until(
+        lambda: bool(ended) or pred(),
+        max_cycles=chunk_end - sim.cycle,
+        what=what,
+    )
+
+
 def _execute_run(
     system: System,
     spec: ScenarioSpec,
@@ -433,9 +454,11 @@ def _execute_run(
     The run is executed in commit-boundary chunks when *stop_at* or
     *checkpoint_every* is given; chunk boundaries only change where the
     kernel pauses, never what it computes, so the outcome is
-    bit-identical to one uninterrupted call.  ``run.max_cycles`` and
-    ``run.horizon`` are absolute (counted from cycle 0), so a resumed
-    run stops exactly where the uninterrupted one would have.
+    bit-identical to one uninterrupted call.  Every chunk ends at its
+    exact cycle, and the stop predicates handed to ``run_until`` read
+    simulation state only (DESIGN.md section 10).  ``run.max_cycles``
+    and ``run.horizon`` are absolute (counted from cycle 0), so a
+    resumed run stops exactly where the uninterrupted one would have.
     """
     sim = system.sim
     what = f"{spec.name}[{label}] traffic to finish"
@@ -446,7 +469,12 @@ def _execute_run(
             deadline = min(deadline, stop_at)
 
         def pred() -> bool:
-            return all(core.done for core in waiting)
+            # Evaluated once per run-loop iteration: a plain loop, not a
+            # generator.
+            for core in waiting:
+                if not core.done:
+                    return False
+            return True
 
         while not pred():
             if sim.cycle >= deadline:
@@ -459,11 +487,13 @@ def _execute_run(
             chunk_end = deadline
             if checkpoint_every is not None:
                 chunk_end = min(chunk_end, sim.cycle + checkpoint_every)
-            sim.run_until(
-                lambda: pred() or sim.cycle >= chunk_end,
-                max_cycles=chunk_end - sim.cycle + 1,
-                what=what,
-            )
+            if chunk_end == spec.run.max_cycles and chunk_end != stop_at:
+                # The run's own deadline: reaching it is a timeout.
+                sim.run_until(
+                    pred, max_cycles=chunk_end - sim.cycle, what=what
+                )
+            else:
+                _run_chunk(sim, pred, chunk_end, what)
             if (
                 on_checkpoint is not None
                 and not pred()

@@ -14,6 +14,7 @@ from repro.scenario import (
     load_file,
     plan_fork_tree,
     run_campaign,
+    run_point,
 )
 from repro.scenario.spec import validate
 
@@ -79,6 +80,25 @@ def _forkable_tree(**overrides):
         },
     }
     tree.update(overrides)
+    return tree
+
+
+def _quiet_tree():
+    """A forkable until-run that is quiescent at its fork boundary: the
+    DMA is off and the core naps between sparse accesses, so the kernel
+    fast-forwards across cycle 400, where rule ``cut`` writes the core's
+    own budget and period."""
+    tree = _forkable_tree()
+    tree["traffic"]["dma"]["enabled"] = False
+    tree["traffic"]["core"].update(gap_mean=150, n_accesses=30)
+    tree["schedule"][0]["set"] = {
+        "realm.core.region0.budget_bytes": 4096,
+        "realm.core.region0.period_cycles": 500,
+    }
+    tree["campaign"]["sweep"] = [
+        {"field": "schedule.cut.set.realm.core.region0.budget_bytes",
+         "values": [16, 1 << 40]},
+    ]
     return tree
 
 
@@ -199,6 +219,35 @@ def test_fork_when_the_run_finishes_before_the_fork_cycle():
     assert all(
         p.sim_cycles < 150_000 for p in forked.points
     ), "the run should have completed well before the fork cycle"
+
+
+def test_fork_prefix_stops_at_a_quiescent_fork_boundary():
+    """The shared prefix ends at exactly the fork cycle even when the
+    kernel fast-forwards across it, so the divergent rule fires in each
+    leaf and never inside the prefix."""
+    spec = validate(_quiet_tree())
+    scratch = run_campaign(spec)
+    assert [p.execution_cycles for p in scratch.points] == [13008, 4434]
+    forked = run_campaign(spec, fork=True)
+    assert forked.fork_cycle == 400
+    assert forked.to_json_dict() == scratch.to_json_dict()
+
+
+def test_until_run_checkpoints_land_on_exact_multiples(tmp_path):
+    """``checkpoint_every`` chunks of an until-run end at exact cycles,
+    also where the kernel fast-forwards across a chunk end."""
+    tree = _quiet_tree()
+    del tree["schedule"]
+    del tree["campaign"]
+    point = expand(validate(tree))[0]
+    scratch = run_point(point)
+    chunked = run_point(point, checkpoint_every=400,
+                        checkpoint_dir=str(tmp_path))
+    assert chunked.to_dict() == scratch.to_dict()
+    cycles = sorted(
+        int(path.stem.rsplit("-c", 1)[1]) for path in tmp_path.glob("*.ckpt")
+    )
+    assert cycles == list(range(400, scratch.sim_cycles, 400))
 
 
 def test_fork_fallback_is_silent_for_unforkable_campaigns():

@@ -32,6 +32,7 @@ from repro.scenario.spec import validate
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 BUDGET_FIELD = "schedule.cut.set.realm.dma.region0.budget_bytes"
+CORE_BUDGET_FIELD = "schedule.cut.set.realm.core.region0.budget_bytes"
 TRIM_FIELD = "schedule.trim.set.realm.core.region0.budget_bytes"
 BURST_FIELD = "traffic.dma.burst_beats"
 
@@ -262,14 +263,33 @@ def test_fork_tree_over_process_pool_matches_sequential():
 # ----------------------------------------------------------------------
 # property: fork-tree == scratch over randomized multi-axis sweeps
 # ----------------------------------------------------------------------
+def _quiet(tree):
+    """Make *tree* an until-run that is quiescent at its fork
+    boundaries: the DMA is off, the core naps between sparse accesses,
+    and rule ``cut`` writes the core's own budget, so the kernel
+    fast-forwards across the cycles where the rules fire."""
+    tree["run"] = {"until": ["core"], "max_cycles": 200_000}
+    tree["traffic"]["dma"]["enabled"] = False
+    tree["traffic"]["core"].update(gap_mean=150, n_accesses=12)
+    tree["schedule"][0]["set"] = {
+        "realm.core.region0.budget_bytes": 4096,
+        "realm.core.region0.period_cycles": 500,
+    }
+    return tree
+
+
 @st.composite
 def sweep_campaigns(draw):
     tree = _tree(horizon=900, cut_at=draw(st.sampled_from([200, 400])))
+    budget_field = BUDGET_FIELD
+    budgets = [[256, 1 << 40], [512, 4096], [256, 2048, 1 << 40]]
+    if draw(st.booleans()):
+        _quiet(tree)
+        budget_field = CORE_BUDGET_FIELD
+        budgets = [[16, 1 << 40], [16, 48, 4096]]
     tree["campaign"]["sweep"] = [{
-        "field": BUDGET_FIELD,
-        "values": draw(st.sampled_from(
-            [[256, 1 << 40], [512, 4096], [256, 2048, 1 << 40]]
-        )),
+        "field": budget_field,
+        "values": draw(st.sampled_from(budgets)),
     }]
     if draw(st.booleans()):
         _with_trim_axis(tree, trim_at=draw(st.sampled_from([300, 700])))

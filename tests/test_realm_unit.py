@@ -1,6 +1,10 @@
-"""Integration tests for the full REALM unit (driver -> realm -> SRAM)."""
+"""Integration tests for the full REALM unit (driver -> realm -> SRAM),
+and a differential test of its gated stage passes against a unit that
+runs every pass every tick."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.realm import (
     RealmUnit,
@@ -13,7 +17,12 @@ from repro.mem import SramMemory
 from repro.sim import Simulator
 from repro.traffic.driver import ManagerDriver
 
-from helpers import build_realm_system
+from helpers import (
+    ScriptedManager,
+    ScriptedSubordinate,
+    TrafficLog,
+    build_realm_system,
+)
 
 
 def finish(sim, drv, max_cycles=100_000):
@@ -298,3 +307,150 @@ def test_throttle_enabled_limits_outstanding(sim):
         drv.read(i * 8)
     finish(sim, drv, max_cycles=10_000)
     assert all(op.done for op in drv.completed)
+
+
+# ----------------------------------------------------------------------
+# gated stage passes == every pass every tick
+# ----------------------------------------------------------------------
+class _UngatedRealm(RealmUnit):
+    """Reference unit: every stage pass runs every tick, the FSM
+    re-asserts both isolation triggers every tick, the period clocks
+    always take the generic catch-up, and emptiness is tested through
+    the stage properties."""
+
+    def tick(self, cycle):
+        self._cycle = cycle
+        if self._frozen_since is not None:
+            self._catch_up_frozen(cycle - 1)
+            self._frozen_since = None
+        self.mr.on_cycle(cycle)
+        self._fsm()
+        stages = (self.isolation, self.splitter, self.write_buffer, self.mr)
+        for stage in stages:
+            stage.tick_request(cycle)
+        for stage in reversed(stages):
+            stage.tick_response(cycle)
+
+    def _fsm(self):
+        iso = self.isolation
+        if self.config.user_isolate:
+            iso.request_isolate("user")
+        else:
+            iso.release("user")
+        if self.mr.budget_exhausted:
+            iso.request_isolate("budget")
+        else:
+            iso.release("budget")
+        super()._fsm()  # triggers settled: only the reconfiguration runs
+
+    def _unit_empty(self):
+        wb = self.write_buffer
+        return not (
+            any(w.occupancy for link in self._links for w in link.channels)
+            or wb.occupancy
+            or wb.buffered_bursts
+        )
+
+
+def _generic_clocks(mr):
+    def advance(n):
+        for region, book in zip(mr.regions, mr.books):
+            if region.advance_cycles(n):
+                book.on_period_rollover()
+                book.cycles_into_period = region.cycles_into_period + 1
+            else:
+                book.cycles_into_period += n
+    return advance
+
+
+@st.composite
+def realm_cases(draw):
+    """Bursts around the splitter granularity, a budget that depletes
+    and replenishes, and control writes at drawn cycles."""
+    op = st.tuples(
+        st.integers(0, 250),  # issue cycle
+        st.sampled_from("rw"),
+        st.integers(0, 0x1F).map(lambda line: line * 0x100),  # address
+        st.sampled_from([1, 2, 4, 8, 16, 32, 64]),  # beats
+        st.integers(0, 3),  # id
+    )
+    ops = sorted(draw(st.lists(op, min_size=2, max_size=10)))
+    control = st.tuples(
+        st.integers(1, 400),
+        st.sampled_from(["isolate", "release", "granularity", "region",
+                         "splitter"]),
+        st.sampled_from([1, 4, 16, 256]),
+    )
+    return {
+        "ops": [(c, kind, addr, beats, tid, 0)
+                for c, kind, addr, beats, tid in ops],
+        "write_buffer": draw(st.booleans()),
+        "granularity": draw(st.sampled_from([1, 4, 16, 256])),
+        # Region 0 covers half the addresses: the rest is never charged.
+        "budget": draw(st.sampled_from([64, 256, 2048, UNLIMITED])),
+        "period": draw(st.sampled_from([50, 200, UNLIMITED])),
+        "control": sorted(draw(st.lists(control, max_size=4))),
+        "seed": draw(st.integers(0, 1 << 16)),
+        "mgr_stall": draw(st.sampled_from([0, 30, 60])),
+        "sub_stall": draw(st.sampled_from([0, 30, 60])),
+    }
+
+
+def _realm_bench(case, unit_cls, active_set):
+    sim = Simulator(active_set=active_set)
+    up, down = AxiBundle(sim, "up"), AxiBundle(sim, "down")
+    unit = sim.add(unit_cls(
+        up, down, RealmUnitParams(write_buffer_present=case["write_buffer"])
+    ))
+    if unit_cls is _UngatedRealm:
+        unit.mr._advance_clocks = _generic_clocks(unit.mr)
+    unit.set_granularity(case["granularity"])
+    unit.configure_region(0, RegionConfig(
+        base=0, size=0x1000, budget_bytes=case["budget"],
+        period_cycles=case["period"],
+    ))
+    sim.add(ScriptedManager(up, case["ops"], case["seed"], 1,
+                            case["mgr_stall"]))
+    sim.add(ScriptedSubordinate(down, case["seed"], 7, case["sub_stall"]))
+    return sim, unit, TrafficLog(sim, (up, down))
+
+
+def _control(unit, action, value):
+    if action == "isolate":
+        unit.set_user_isolate(True)
+    elif action == "release":
+        unit.set_user_isolate(False)
+    elif action == "granularity":
+        unit.set_granularity(value)
+    elif action == "region":
+        unit.configure_region(0, RegionConfig(
+            base=0, size=0x1000, budget_bytes=value * 8, period_cycles=100,
+        ))
+    else:
+        unit.set_splitter_enabled(not unit.config.splitter_enabled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(realm_cases())
+def test_gated_stage_passes_match_every_pass_every_tick(case):
+    """Stage passes gated by pending work, change-only FSM triggers and
+    the one-cycle clock path leave the channel traffic and the unit's
+    captured state equal to the ungated reference at every commit
+    boundary: split and unsplit bursts, write buffer on and off, budget
+    depletion and replenishment, user-isolation toggles, intrusive
+    reconfiguration mid-burst, and back-pressure on both sides."""
+    for active_set in (True, False):
+        benches = [_realm_bench(case, cls, active_set)
+                   for cls in (RealmUnit, _UngatedRealm)]
+        control = list(case["control"])
+        for cycle in range(500):
+            while control and control[0][0] == cycle:
+                _, action, value = control.pop(0)
+                for _, unit, _ in benches:
+                    _control(unit, action, value)
+            for sim, _, _ in benches:
+                sim.run(1)
+            (_, gated, log), (_, ref, ref_log) = benches
+            assert log.events == ref_log.events, cycle
+            assert gated.state_capture() == ref.state_capture(), cycle
+        assert log.events, "the case moved no beat"
