@@ -17,6 +17,13 @@ class IdMap:
 
     inner_id_bits: int  # width of the manager-visible ID
 
+    # The layout: a widened ID's manager index is ``wide_id >>
+    # inner_id_bits`` and its inner ID is ``wide_id & inner_mask``.  Hot
+    # paths read the two once and decode with them directly.
+    @property
+    def inner_mask(self) -> int:
+        return (1 << self.inner_id_bits) - 1
+
     def compose(self, manager_index: int, inner_id: int) -> int:
         """Widened ID carrying *manager_index* above *inner_id*."""
         if inner_id < 0 or inner_id >= (1 << self.inner_id_bits):
@@ -31,7 +38,7 @@ class IdMap:
         """Return ``(manager_index, inner_id)`` from a widened ID."""
         if wide_id < 0:
             raise ValueError(f"negative id {wide_id}")
-        return wide_id >> self.inner_id_bits, wide_id & ((1 << self.inner_id_bits) - 1)
+        return wide_id >> self.inner_id_bits, wide_id & self.inner_mask
 
     def manager_of(self, wide_id: int) -> int:
         return self.split(wide_id)[0]

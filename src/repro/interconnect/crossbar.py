@@ -82,11 +82,11 @@ class AxiCrossbar(Component):
         self.addr_map = addr_map
         self.idmap = IdMap(inner_id_bits)
         # Response routing reads the manager prefix of a widened ID by
-        # shift and strips it by mask (IdMap's layout, without the
+        # shift and strips it by mask (the IdMap's layout, without the
         # per-beat validation of IdMap.split), from the head beats of
         # the subordinates' response channels.
-        self._id_shift = inner_id_bits
-        self._inner_mask = (1 << inner_id_bits) - 1
+        self._id_shift = self.idmap.inner_id_bits
+        self._inner_mask = self.idmap.inner_mask
         self._sub_b = tuple(sub.b for sub in self.subs)
         self._sub_r = tuple(sub.r for sub in self.subs)
         self.qos_arbitration = qos_arbitration

@@ -74,28 +74,10 @@ class BurstSplitterStage:
         return getattr(self.config, "granularity_aw", self.config.granularity)
 
     # ------------------------------------------------------------------
-    def request_pending(self) -> bool:
-        """True when :meth:`tick_request` has work: a request beat on an
-        input wire, or fragments still to emit."""
-        up = self.up
-        if (
-            up.aw._item is not None
-            or up.w._item is not None
-            or up.ar._item is not None
-        ):
-            return True
-        return bool(self._aw_fragments or self._ar_fragments)
-
     def tick_request(self, cycle: int) -> None:
         self._tick_aw()
         self._tick_w()
         self._tick_ar()
-
-    def response_pending(self) -> bool:
-        """True when :meth:`tick_response` has work: a response beat on
-        an input wire (coalescing state changes only as beats pass)."""
-        down = self.down
-        return down.b._item is not None or down.r._item is not None
 
     def tick_response(self, cycle: int) -> None:
         self._tick_b()

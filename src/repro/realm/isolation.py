@@ -74,15 +74,6 @@ class IsolationStage:
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def request_pending(self) -> bool:
-        """True when :meth:`tick_request` has work: a beat waits on the
-        manager side (passed, counted as blocked, or owed write data),
-        or a drain is in progress."""
-        up = self.up
-        if up.aw._queue or up.ar._queue or up.w._queue:
-            return True
-        return self.mode is _DRAINING
-
     def tick_request(self, cycle: int) -> None:
         passing = self.mode is _PASS
         if passing:
@@ -111,16 +102,6 @@ class IsolationStage:
                 self._w_bursts_owed -= 1
         if self.mode is _DRAINING and self._drained:
             self.mode = _ISOLATED
-
-    def response_pending(self) -> bool:
-        """True when :meth:`tick_response` has work: a response beat on
-        the inner wires, or a drain is in progress."""
-        down = self.down
-        return (
-            down.b._item is not None
-            or down.r._item is not None
-            or self.mode is _DRAINING
-        )
 
     def tick_response(self, cycle: int) -> None:
         if self.down.b.can_recv() and self.up.b.can_send():

@@ -188,17 +188,6 @@ class MonitorRegulationStage:
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def request_pending(self) -> bool:
-        """True when :meth:`tick_request` has a request beat to admit or
-        pass (denials and stall cycles are counted only for waiting
-        address beats)."""
-        up = self.up
-        return (
-            up.aw._item is not None
-            or up.w._item is not None
-            or up.ar._item is not None
-        )
-
     def tick_request(self, cycle: int) -> None:
         # Write address.
         if self.up.aw.can_recv() and self.down.aw.can_send():
@@ -223,13 +212,6 @@ class MonitorRegulationStage:
                 self._charge(region_idx, beat.total_bytes, is_read=True)
                 self._read_inflight[beat.id].append((cycle, region_idx))
                 self.outstanding += 1
-
-    def response_pending(self) -> bool:
-        """True when a response beat waits on the downstream channels."""
-        down = self.down
-        if down.b._queue or down.r._queue:
-            return True
-        return False
 
     def tick_response(self, cycle: int) -> None:
         if self.down.b.can_recv() and self.up.b.can_send():

@@ -279,28 +279,16 @@ class RealmUnit(Component):
         if self._frozen_since is not None:
             self._catch_up_frozen(cycle - 1)
             self._frozen_since = None
-        mr = self.mr
-        mr.on_cycle(cycle)
+        self.mr.on_cycle(cycle)
         self._fsm()
-        # A stage pass runs only on pending work; each stage owns the
-        # test of its own inputs and queues (DESIGN.md section 5).
-        iso, sp, wb = self.isolation, self.splitter, self.write_buffer
-        if iso.request_pending():
-            iso.tick_request(cycle)
-        if sp.request_pending():
-            sp.tick_request(cycle)
-        if wb.request_pending():
-            wb.tick_request(cycle)
-        if mr.request_pending():
-            mr.tick_request(cycle)
-        if mr.response_pending():
-            mr.tick_response(cycle)
-        if wb.response_pending():
-            wb.tick_response(cycle)
-        if sp.response_pending():
-            sp.tick_response(cycle)
-        if iso.response_pending():
-            iso.tick_response(cycle)
+        self.isolation.tick_request(cycle)
+        self.splitter.tick_request(cycle)
+        self.write_buffer.tick_request(cycle)
+        self.mr.tick_request(cycle)
+        self.mr.tick_response(cycle)
+        self.write_buffer.tick_response(cycle)
+        self.splitter.tick_response(cycle)
+        self.isolation.tick_response(cycle)
 
     def is_idle(self) -> bool:
         """The unit may sleep only when completely quiescent: no beat in
@@ -312,12 +300,15 @@ class RealmUnit(Component):
         if self._pending_reconfig:
             return False
         up, down = self.up, self.down
-        mr = self.mr
+        mr, sp = self.mr, self.splitter
         if (
             not mr.stalled_this_cycle
             and not mr.transferring_this_cycle
             and not (up.aw._queue or up.w._queue or up.ar._queue)
             and not (down.b._queue or down.r._queue)
+            # Fragments left to emit: the splitter sends one next tick
+            # (passing an unregulated fragment sets no activity flag).
+            and not (sp._aw_fragments or sp._ar_fragments)
             and self._unit_empty()
         ):
             self._freeze_sig = None

@@ -59,20 +59,6 @@ class WriteBufferStage:
         return self._complete_bursts
 
     # ------------------------------------------------------------------
-    def request_pending(self) -> bool:
-        """True when :meth:`tick_request` has work: a request beat on an
-        input wire, a burst being forwarded, or a queued AW that may
-        start one."""
-        up = self.up
-        if (
-            up.aw._item is not None
-            or up.w._item is not None
-            or up.ar._item is not None
-            or self._forwarding is not None
-        ):
-            return True
-        return bool(self._aw_q)
-
     def tick_request(self, cycle: int) -> None:
         if not self.enabled:
             self._tick_bypass()
@@ -82,11 +68,6 @@ class WriteBufferStage:
         # Read path is a wire-to-wire passthrough either way (one guarded
         # hand-off through the batch API).
         self.up.ar.move_to(self.down.ar)
-
-    def response_pending(self) -> bool:
-        """True when :meth:`tick_response` has a response beat to pass."""
-        down = self.down
-        return down.b._item is not None or down.r._item is not None
 
     def tick_response(self, cycle: int) -> None:
         self.down.b.move_to(self.up.b)

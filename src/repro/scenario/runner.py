@@ -487,13 +487,7 @@ def _execute_run(
             chunk_end = deadline
             if checkpoint_every is not None:
                 chunk_end = min(chunk_end, sim.cycle + checkpoint_every)
-            if chunk_end == spec.run.max_cycles and chunk_end != stop_at:
-                # The run's own deadline: reaching it is a timeout.
-                sim.run_until(
-                    pred, max_cycles=chunk_end - sim.cycle, what=what
-                )
-            else:
-                _run_chunk(sim, pred, chunk_end, what)
+            _run_chunk(sim, pred, chunk_end, what)
             if (
                 on_checkpoint is not None
                 and not pred()

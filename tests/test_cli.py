@@ -193,6 +193,21 @@ def test_run_command_watchdog_timeout_exits_1(tiny_scenario, capsys):
                  "--set", "run.max_cycles=2"]) == 1
     err = capsys.readouterr().err
     assert "scenario error" in err
+    assert "timeout after 2 cycles" in err
+    assert "Traceback" not in err
+
+
+def test_chunked_run_timeout_reports_the_run_deadline(
+    tiny_scenario, tmp_path, capsys
+):
+    # The last checkpoint chunk ends at run.max_cycles; the timeout
+    # names the run's deadline, not the chunk's length.
+    assert main(["run", str(tiny_scenario),
+                 "--set", "run.max_cycles=5",
+                 "--checkpoint-every", "3",
+                 "--checkpoint-dir", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "timeout after 5 cycles" in err
     assert "Traceback" not in err
 
 

@@ -263,33 +263,14 @@ def test_fork_tree_over_process_pool_matches_sequential():
 # ----------------------------------------------------------------------
 # property: fork-tree == scratch over randomized multi-axis sweeps
 # ----------------------------------------------------------------------
-def _quiet(tree):
-    """Make *tree* an until-run that is quiescent at its fork
-    boundaries: the DMA is off, the core naps between sparse accesses,
-    and rule ``cut`` writes the core's own budget, so the kernel
-    fast-forwards across the cycles where the rules fire."""
-    tree["run"] = {"until": ["core"], "max_cycles": 200_000}
-    tree["traffic"]["dma"]["enabled"] = False
-    tree["traffic"]["core"].update(gap_mean=150, n_accesses=12)
-    tree["schedule"][0]["set"] = {
-        "realm.core.region0.budget_bytes": 4096,
-        "realm.core.region0.period_cycles": 500,
-    }
-    return tree
-
-
 @st.composite
 def sweep_campaigns(draw):
     tree = _tree(horizon=900, cut_at=draw(st.sampled_from([200, 400])))
-    budget_field = BUDGET_FIELD
-    budgets = [[256, 1 << 40], [512, 4096], [256, 2048, 1 << 40]]
-    if draw(st.booleans()):
-        _quiet(tree)
-        budget_field = CORE_BUDGET_FIELD
-        budgets = [[16, 1 << 40], [16, 48, 4096]]
     tree["campaign"]["sweep"] = [{
-        "field": budget_field,
-        "values": draw(st.sampled_from(budgets)),
+        "field": BUDGET_FIELD,
+        "values": draw(st.sampled_from(
+            [[256, 1 << 40], [512, 4096], [256, 2048, 1 << 40]]
+        )),
     }]
     if draw(st.booleans()):
         _with_trim_axis(tree, trim_at=draw(st.sampled_from([300, 700])))
@@ -305,6 +286,40 @@ def sweep_campaigns(draw):
 @given(sweep_campaigns())
 @settings(max_examples=8, deadline=None)
 def test_fork_tree_matches_scratch_property(tree):
+    spec = validate(tree)
+    scratch = run_campaign(spec)
+    forked = run_campaign(spec, fork=True)
+    assert forked.to_json_dict() == scratch.to_json_dict()
+
+
+@st.composite
+def quiet_until_campaigns(draw):
+    """Until-runs that are quiescent at their fork boundaries: the DMA
+    is off, the core naps between sparse accesses, and rule ``cut``
+    writes the core's own budget, so the kernel fast-forwards across
+    the cycles where the rules fire."""
+    tree = _tree(cut_at=draw(st.sampled_from([200, 400])))
+    tree["run"] = {"until": ["core"], "max_cycles": 200_000}
+    tree["traffic"]["dma"]["enabled"] = False
+    tree["traffic"]["core"].update(gap_mean=150, n_accesses=12)
+    tree["schedule"][0]["set"] = {
+        "realm.core.region0.budget_bytes": 4096,
+        "realm.core.region0.period_cycles": 500,
+    }
+    tree["campaign"]["sweep"] = [{
+        "field": CORE_BUDGET_FIELD,
+        "values": draw(st.sampled_from([[16, 1 << 40], [16, 48, 4096]])),
+    }]
+    if draw(st.booleans()):
+        _with_trim_axis(tree, trim_at=draw(st.sampled_from([300, 700])))
+        if draw(st.booleans()):
+            tree["campaign"]["sweep"].reverse()
+    return tree
+
+
+@given(quiet_until_campaigns())
+@settings(max_examples=6, deadline=None)
+def test_fork_tree_over_quiet_until_runs_matches_scratch_property(tree):
     spec = validate(tree)
     scratch = run_campaign(spec)
     forked = run_campaign(spec, fork=True)
