@@ -75,12 +75,12 @@ class ContentionExperiment:
     def _scenario_dict(
         self,
         with_dma: bool,
-        fragmentation: int,
-        core_budget: int,
-        dma_budget: int,
-        period: int,
-        regulation: bool,
-        throttle: bool,
+        fragmentation: int = 256,
+        core_budget: int = UNLIMITED,
+        dma_budget: int = UNLIMITED,
+        period: int = UNLIMITED,
+        regulation: bool = True,
+        throttle: bool = False,
     ) -> dict:
         """One Figure-6 run in canonical scenario-dict form."""
         from repro.scenario.spec import realm_params_to_dict
@@ -167,6 +167,16 @@ class ContentionExperiment:
             ],
         }
 
+    def _point(self, label: str, with_dma: bool, **config):
+        """One Figure-6 run as a validated campaign point."""
+        # Imported lazily: repro.scenario.report pulls in
+        # repro.analysis.stats, so a module-level import here would cycle.
+        from repro.scenario.spec import validate
+        from repro.scenario.sweep import ExpandedPoint
+
+        spec = validate(self._scenario_dict(with_dma, **config))
+        return ExpandedPoint(index=0, label=label, seed=self.seed, spec=spec)
+
     def build(
         self,
         with_dma: bool = True,
@@ -184,47 +194,18 @@ class ContentionExperiment:
         manager — for callers that drive the simulation themselves
         (mid-run monitoring, advisor loops).
         """
-        from repro.scenario.runner import attach_traffic, build_system
-        from repro.scenario.spec import validate
+        from repro.scenario.runner import _elaborate_point
 
-        spec = validate(
-            self._scenario_dict(
-                with_dma, fragmentation, core_budget, dma_budget, period,
-                regulation, throttle,
-            )
-        )
-        system = build_system(spec)
-        generators = attach_traffic(system, spec)
-        for warm in spec.warm:
-            system.warm_cache(warm.base, warm.size, cache=warm.cache)
-        return system, generators
+        return _elaborate_point(self._point(
+            "build", with_dma, fragmentation=fragmentation,
+            core_budget=core_budget, dma_budget=dma_budget, period=period,
+            regulation=regulation, throttle=throttle,
+        ))
 
-    def _run_point(
-        self,
-        label: str,
-        with_dma: bool,
-        fragmentation: int = 256,
-        core_budget: int = UNLIMITED,
-        dma_budget: int = UNLIMITED,
-        period: int = UNLIMITED,
-        regulation: bool = True,
-        throttle: bool = False,
-    ):
-        # Imported lazily: repro.scenario.report pulls in
-        # repro.analysis.stats, so a module-level import here would cycle.
+    def _run_point(self, label: str, with_dma: bool, **config):
         from repro.scenario.runner import run_point
-        from repro.scenario.spec import validate
-        from repro.scenario.sweep import ExpandedPoint
 
-        spec = validate(
-            self._scenario_dict(
-                with_dma, fragmentation, core_budget, dma_budget, period,
-                regulation, throttle,
-            )
-        )
-        return run_point(
-            ExpandedPoint(index=0, label=label, seed=self.seed, spec=spec)
-        )
+        return run_point(self._point(label, with_dma, **config))
 
     # ------------------------------------------------------------------
     def run_single_source(self) -> ContentionResult:

@@ -256,11 +256,14 @@ def _telemetry_server(args: argparse.Namespace):
 
 
 def _campaign_command(
-    args: argparse.Namespace, load_spec: Callable[[argparse.Namespace], Any]
+    args: argparse.Namespace,
+    prepare: Callable[[], Callable[[Any], Any]],
+    error: str = "scenario error",
 ) -> int:
-    """The ``run``/``sweep`` body: build the spec with *load_spec(args)*,
-    execute the campaign (with live telemetry when asked) and emit it."""
-    from repro.scenario import ScenarioError, run_campaign
+    """The ``run``/``sweep``/``run --resume`` body: *prepare()* loads the
+    inputs and returns the executor, which runs with the live-telemetry
+    server (or ``None``) and returns the campaign result to emit."""
+    from repro.scenario import ScenarioError
     from repro.sim import SimulationError
     from repro.snapshot import SnapshotError
 
@@ -268,24 +271,12 @@ def _campaign_command(
     try:
         from repro.telemetry import TelemetryError
 
-        spec = load_spec(args)
+        execute = prepare()
         server = _telemetry_server(args)
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            active_set=False if args.naive_kernel else None,
-            batched=False if args.per_beat else None,
-            smoke=args.smoke,
-            profile=args.profile,
-            record=bool(args.trace_out),
-            fork=args.fork,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            telemetry=server,
-        )
+        result = execute(server)
     except (ScenarioError, SimulationError, SnapshotError,
             TelemetryError) as exc:
-        print(f"repro: scenario error: {exc}", file=sys.stderr)
+        print(f"repro: {error}: {exc}", file=sys.stderr)
         return 1
     finally:
         if server is not None:
@@ -294,41 +285,73 @@ def _campaign_command(
     return 0
 
 
+def _campaign(args: argparse.Namespace, spec):
+    """The executor that runs *spec*'s whole campaign."""
+    from repro.scenario import run_campaign
+
+    return lambda server: run_campaign(
+        spec,
+        jobs=args.jobs,
+        active_set=False if args.naive_kernel else None,
+        batched=False if args.per_beat else None,
+        smoke=args.smoke,
+        profile=args.profile,
+        record=bool(args.trace_out),
+        fork=args.fork,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir,
+        telemetry=server,
+    )
+
+
 def _run_scenario(args: argparse.Namespace) -> int:
     if args.resume:
-        return _resume_scenario(args)
+        # The checkpoint embeds its point's spec: these cannot apply.
+        for given, name in ((args.file, "a scenario file"),
+                            (args.set, "--set"), (args.smoke, "--smoke")):
+            if given:
+                print(f"repro: error: {name} cannot be given with --resume "
+                      "(the checkpoint embeds its point's scenario)",
+                      file=sys.stderr)
+                return 2
+        return _campaign_command(
+            args, lambda: _resume(args), error="resume error"
+        )
     if not args.file:
         print("repro: error: give a scenario file or --resume CKPT",
               file=sys.stderr)
         return 2
-    return _campaign_command(args, _load_scenario)
+    return _campaign_command(
+        args, lambda: _campaign(args, _load_scenario(args))
+    )
 
 
-def _resume_scenario(args: argparse.Namespace) -> int:
-    """Rebuild the checkpointed point's system and continue its run."""
+def _resume(args: argparse.Namespace):
+    """Load the ``--resume`` checkpoint; returns the executor that
+    rebuilds its point's system and continues the run."""
     from repro.scenario import ScenarioError
     from repro.scenario.report import CampaignResult
     from repro.scenario.runner import run_point
     from repro.scenario.spec import validate
     from repro.scenario.sweep import ExpandedPoint
-    from repro.sim import SimulationError
-    from repro.snapshot import SnapshotError, load_checkpoint
+    from repro.snapshot import load_checkpoint
 
-    server = None
-    try:
-        from repro.telemetry import TelemetryError
-
-        meta, state = load_checkpoint(args.resume)
-        spec = validate(meta["spec"])
-        point = ExpandedPoint(
-            index=meta.get("index", 0),
-            label=meta.get("label", spec.name),
-            seed=meta.get("seed", spec.seed),
-            spec=spec,
+    meta, state = load_checkpoint(args.resume)
+    if "spec" not in meta:
+        raise ScenarioError(
+            f"{args.resume}: checkpoint metadata holds no scenario spec"
         )
-        active_set = False if args.naive_kernel else meta.get("active_set")
-        batched = False if args.per_beat else meta.get("batched")
-        server = _telemetry_server(args)
+    spec = validate(meta["spec"])
+    point = ExpandedPoint(
+        index=meta.get("index", 0),
+        label=meta.get("label", spec.name),
+        seed=meta.get("seed", spec.seed),
+        spec=spec,
+    )
+    active_set = False if args.naive_kernel else meta.get("active_set")
+    batched = False if args.per_beat else meta.get("batched")
+
+    def execute(server):
         result = run_point(
             point,
             active_set=active_set,
@@ -341,20 +364,13 @@ def _resume_scenario(args: argparse.Namespace) -> int:
             scenario_name=meta.get("scenario"),
             telemetry=server,
         )
-    except (ScenarioError, SimulationError, SnapshotError, KeyError,
-            TelemetryError) as exc:
-        print(f"repro: resume error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if server is not None:
-            server.stop()
-    campaign = CampaignResult.from_points(
-        spec, [result], active_set=active_set, batched=batched
-    )
-    print(f"# resumed {meta.get('scenario', spec.name)}"
-          f"[{point.label}] from cycle {meta.get('cycle', '?')}")
-    _emit_campaign(campaign, args)
-    return 0
+        print(f"# resumed {meta.get('scenario', spec.name)}"
+              f"[{point.label}] from cycle {meta.get('cycle', '?')}")
+        return CampaignResult.from_points(
+            spec, [result], active_set=active_set, batched=batched
+        )
+
+    return execute
 
 
 def _sweep_spec(args: argparse.Namespace):
@@ -384,29 +400,22 @@ def _sweep_spec(args: argparse.Namespace):
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    return _campaign_command(args, _sweep_spec)
+    return _campaign_command(args, lambda: _campaign(args, _sweep_spec(args)))
 
 
 def _elaborate(args: argparse.Namespace):
-    """Build the scenario's base-point system with traffic attached, so
-    every probe/knob path — including ``traffic.*`` — is registered."""
+    """Elaborate the scenario's base point as a run would, so every
+    probe/knob path — including ``traffic.*`` — is registered."""
     from dataclasses import replace
 
-    from repro.scenario import (
-        CampaignSpec,
-        attach_traffic,
-        build_system,
-        expand,
-        install_control,
-    )
+    from repro.scenario import CampaignSpec, expand
+    from repro.scenario.runner import _elaborate_point
 
     spec = _load_scenario(args)
     # The base scenario, not a campaign point: strip the campaign so the
     # listing reflects the file's own topology and traffic sections.
     point = expand(replace(spec, campaign=CampaignSpec()))[0]
-    system = build_system(point.spec)
-    attach_traffic(system, point.spec)
-    install_control(system, point.spec)
+    system, _ = _elaborate_point(point)
     return spec, system
 
 
@@ -676,7 +685,7 @@ def _add_campaign_options(
     if resumable:
         parser.add_argument(
             "file", nargs="?", default=None,
-            help="scenario file (.toml or .json); optional with --resume",
+            help="scenario file (.toml or .json); not with --resume",
         )
     else:
         parser.add_argument("file", help="scenario file (.toml or .json)")
@@ -771,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--resume", metavar="CKPT", default=None,
         help="resume a checkpoint file written by --checkpoint-every "
-        "(the checkpoint embeds its campaign point; no scenario file "
-        "needed)",
+        "(the checkpoint embeds its campaign point, so a scenario file, "
+        "--set and --smoke are refused)",
     )
     sweep_parser = sub.add_parser(
         "sweep",

@@ -11,10 +11,13 @@ One :class:`ExpandedPoint` maps onto exactly one simulation:
 * the run section either waits for the named core traces to finish or
   simulates a fixed horizon.
 
-Campaigns run sequentially or fan out over a process pool
-(``jobs > 1``); every point is an independent simulation with a
-deterministic seed, so the fan-out cannot change any result, only the
-wall-clock time.
+Every campaign runs through one executor, a depth-first walk of its
+fork tree (:func:`_run_tree`): a campaign run from scratch is the tree
+with no snapshot node, one leaf per point.  Leaves run sequentially or
+fan out over a process pool (``jobs > 1``); every point is an
+independent simulation with a deterministic seed, so neither the
+fan-out nor the fork tree can change any result, only the wall-clock
+time.
 """
 
 from __future__ import annotations
@@ -523,6 +526,37 @@ def _elaborate_point(
     return system, generators
 
 
+def _restore_and_run(
+    system: System,
+    point: ExpandedPoint,
+    generators: dict[str, Component],
+    resume_state: Optional[Any],
+    restore_path: str,
+    live: Any = nullcontext(),
+    **run: Any,
+) -> None:
+    """Restore *resume_state* (if any) into the point's freshly
+    elaborated system, then run it inside *live* (*run* goes to
+    :func:`_execute_run`).  A refused snapshot surfaces as a
+    :class:`ScenarioError` at *restore_path*, a refused control-plane
+    action as one at ``schedule``."""
+    from repro.snapshot import SnapshotError
+
+    if resume_state is not None:
+        try:
+            system.restore(resume_state)
+        except SnapshotError as exc:
+            raise ScenarioError(f"cannot restore snapshot: {exc}",
+                                path=restore_path) from exc
+    try:
+        with live:
+            _execute_run(system, point.spec, point.label, generators, **run)
+    except (ScheduleError, KnobError, ProbeError) as exc:
+        # A rule fired mid-run and its action was refused (e.g. register
+        # semantics rejected a well-typed knob value).
+        raise ScenarioError(f"control plane: {exc}", path="schedule") from exc
+
+
 def _checkpoint_meta(
     point: ExpandedPoint,
     spec: ScenarioSpec,
@@ -584,8 +618,6 @@ def run_point(
     with or without it, attached or not, every observable and golden
     digest is byte-identical (DESIGN.md section 12).
     """
-    from repro.snapshot import SnapshotError
-
     spec = point.spec
     system, generators = _elaborate_point(
         point, active_set=active_set, batched=batched
@@ -595,12 +627,6 @@ def run_point(
         from repro.obs import FlightRecorder
 
         recorder = FlightRecorder(journal=record).attach(system.sim)
-    if resume_state is not None:
-        try:
-            system.restore(resume_state)
-        except SnapshotError as exc:
-            raise ScenarioError(f"cannot restore snapshot: {exc}",
-                                path="resume") from exc
 
     on_checkpoint = None
     if checkpoint_every is not None:
@@ -638,17 +664,10 @@ def run_point(
                 point, spec, system, scenario_name
             ),
         )
-    try:
-        with live:
-            _execute_run(
-                system, spec, point.label, generators,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-            )
-    except (ScheduleError, KnobError, ProbeError) as exc:
-        # A rule fired mid-run and its action was refused (e.g. register
-        # semantics rejected a well-typed knob value).
-        raise ScenarioError(f"control plane: {exc}", path="schedule") from exc
+    _restore_and_run(
+        system, point, generators, resume_state, "resume", live,
+        checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
+    )
 
     primary = _primary_core(spec, generators)
     latencies = {
@@ -697,24 +716,17 @@ def _primary_core(
 
 
 def _run_forked(args: tuple) -> PointResult:
-    """Process-pool entry for one campaign point.  A fork-tree leaf
-    passes a checkpoint path: load the nearest ancestor snapshot from
-    the checkpoint store (the handoff encoding — DESIGN.md section 14)
-    and finish the point's remaining suffix.  A flat campaign passes
-    ``None`` and runs the point from scratch."""
-    (point, active_set, batched, profile, record, ckpt_path,
-     checkpoint_every, checkpoint_dir, scenario_name) = args
+    """Process-pool entry for one fork-tree leaf: load the nearest
+    ancestor snapshot from the checkpoint store (the handoff encoding —
+    DESIGN.md section 14) and finish the point's remaining suffix.  A
+    leaf below no snapshot node has no path and runs from scratch."""
+    point, ckpt_path, options = args
     resume_state = None
     if ckpt_path is not None:
         from repro.snapshot import load_checkpoint
 
         _, resume_state = load_checkpoint(ckpt_path)
-    return run_point(
-        point, active_set=active_set, batched=batched, profile=profile,
-        record=record, resume_state=resume_state,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, scenario_name=scenario_name,
-    )
+    return run_point(point, resume_state=resume_state, **options)
 
 
 def _run_prefix(
@@ -736,27 +748,18 @@ def _run_prefix(
     snapshot, so an interior fork-tree edge simulates only the cycles
     between its parent's snapshot and its own.
     """
-    from repro.snapshot import SnapshotError, capture_simulator
+    from repro.snapshot import capture_simulator
 
     system, generators = _elaborate_point(
         point, active_set=active_set, batched=batched
     )
-    if resume_state is not None:
-        try:
-            system.restore(resume_state)
-        except SnapshotError as exc:
-            raise ScenarioError(f"cannot restore snapshot: {exc}",
-                                path="fork") from exc
-    try:
-        _execute_run(
-            system, point.spec, point.label, generators, stop_at=fork_cycle
-        )
-    except (ScheduleError, KnobError, ProbeError) as exc:
-        raise ScenarioError(f"control plane: {exc}", path="schedule") from exc
+    _restore_and_run(
+        system, point, generators, resume_state, "fork", stop_at=fork_cycle
+    )
     return capture_simulator(system.sim), system.sim.cycle
 
 
-def _run_fork_tree(
+def _run_tree(
     spec: ScenarioSpec,
     points: list[ExpandedPoint],
     tree: Any,
@@ -779,16 +782,23 @@ def _run_fork_tree(
     results; with ``jobs > 1`` the interior edges still run here (each
     is proved once) while the leaf suffixes fan out over a process
     pool, handed (ancestor checkpoint, remaining point) pairs via the
-    snapshot store.  Reports are byte-identical to scratch execution
-    either way.
+    snapshot store.  A tree with no snapshot node runs every leaf from
+    scratch and leaves the result's fork fields ``None``.  Reports are
+    byte-identical to scratch execution either way.
     """
+    forked = tree.shares_prefix
+    options = dict(
+        active_set=active_set, batched=batched, profile=profile,
+        record=record, checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, scenario_name=spec.name,
+    )
     results: dict[int, PointResult] = {}
     tasks: list[tuple[int, Optional[str]]] = []  # pooled leaf handoffs
     executed = {"prefix_cycles": 0, "saved_cycles": 0}
     # Edge records for the trace exporter (ids, cycle spans, host
     # seconds) — collected only when recording; kept out of fork_stats
     # because wall time differs between pooled and sequential runs.
-    fork_trace: Optional[list] = [] if record else None
+    fork_trace: Optional[list] = [] if record and forked else None
     edge_ids = [0]
     root_capture: list[Optional[int]] = [None]
     pooled = jobs > 1 and len(points) > 1
@@ -822,11 +832,8 @@ def _run_fork_tree(
                 tasks.append((index, state_path))
             else:
                 results[index] = run_point(
-                    points[index], active_set=active_set, batched=batched,
-                    profile=profile, record=record, resume_state=state,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_dir=checkpoint_dir, scenario_name=spec.name,
-                    telemetry=telemetry,
+                    points[index], resume_state=state, telemetry=telemetry,
+                    **options,
                 )
             return
         if node.cycle is None:  # structural: no snapshot of its own
@@ -863,17 +870,10 @@ def _run_fork_tree(
         walk(tree.root, None, None, 0, None)
         if pooled:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(
-                    pool.map(
-                        _run_forked,
-                        [
-                            (points[i], active_set, batched, profile, record,
-                             path, checkpoint_every, checkpoint_dir,
-                             spec.name)
-                            for i, path in tasks
-                        ],
-                    )
-                )
+                outcomes = list(pool.map(
+                    _run_forked,
+                    [(points[i], path, options) for i, path in tasks],
+                ))
             for (i, _), outcome in zip(tasks, outcomes):
                 results[i] = outcome
     finally:
@@ -884,9 +884,10 @@ def _run_fork_tree(
     result = CampaignResult.from_points(
         spec, ordered, active_set=active_set, batched=batched
     )
-    result.fork_cycle = root_capture[0]
-    result.fork_stats = {"planned": tree.describe(), "executed": executed}
-    result.fork_trace = fork_trace
+    if forked:
+        result.fork_cycle = root_capture[0]
+        result.fork_stats = {"planned": tree.describe(), "executed": executed}
+        result.fork_trace = fork_trace
     return result
 
 
@@ -922,9 +923,11 @@ def run_campaign(
     point is restored from its nearest ancestor snapshot instead of
     re-simulating the prefix — sequentially or across the process
     pool.  Results are bit-identical to scratch execution; campaigns
-    where nothing is shareable silently fall back.
+    where nothing is shareable silently fall back.  Scratch execution
+    walks the tree with no snapshot node: a structural root with one
+    leaf per point, in expansion order.
     """
-    from repro.scenario.fork import plan_fork_tree
+    from repro.scenario.fork import ForkNode, ForkTree, plan_fork_tree
 
     if telemetry is not None and jobs > 1:
         raise ScenarioError(
@@ -935,37 +938,15 @@ def run_campaign(
     if smoke:
         spec = apply_smoke(spec)
     points = expand(spec)
-    if fork and len(points) > 1:
-        tree = plan_fork_tree(points)
-        if tree.shares_prefix:
-            return _run_fork_tree(
-                spec, points, tree, jobs=jobs,
-                active_set=active_set, batched=batched, profile=profile,
-                record=record, checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir, telemetry=telemetry,
-            )
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _run_forked,
-                    [
-                        (p, active_set, batched, profile, record, None,
-                         checkpoint_every, checkpoint_dir, spec.name)
-                        for p in points
-                    ],
-                )
-            )
-    else:
-        results = [
-            run_point(
-                p, active_set=active_set, batched=batched, profile=profile,
-                record=record, checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir, scenario_name=spec.name,
-                telemetry=telemetry,
-            )
-            for p in points
-        ]
-    return CampaignResult.from_points(
-        spec, results, active_set=active_set, batched=batched
+    tree = plan_fork_tree(points) if fork and len(points) > 1 else None
+    if tree is None or not tree.shares_prefix:
+        tree = ForkTree(ForkNode(
+            points=tuple(range(len(points))),
+            children=tuple(ForkNode(points=(i,)) for i in range(len(points))),
+        ))
+    return _run_tree(
+        spec, points, tree, jobs=jobs,
+        active_set=active_set, batched=batched, profile=profile,
+        record=record, checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, telemetry=telemetry,
     )

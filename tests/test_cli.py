@@ -319,6 +319,25 @@ def test_run_resume_rejects_garbage(tmp_path, capsys):
     assert "resume error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--set", "run.horizon=2500"], "--set"),
+    (["--smoke"], "--smoke"),
+    ([str(SRC_DIR.parent / "scenarios" / "stream_steady.toml")],
+     "a scenario file"),
+], ids=["set", "smoke", "file"])
+def test_run_resume_rejects_inputs_the_checkpoint_fixes(
+    extra, named, capsys
+):
+    # The checkpoint embeds its point's spec: a second spec source used to
+    # be dropped silently and the run went on to the checkpoint's horizon.
+    ckpt = (Path(__file__).resolve().parent / "checkpoints"
+            / "stream-steady-budget_8k-c2000.ckpt")
+    assert main(["run", "--resume", str(ckpt), *extra]) == 2
+    captured = capsys.readouterr()
+    assert f"{named} cannot be given with --resume" in captured.err
+    assert captured.out == ""
+
+
 def test_run_without_file_or_resume_exits_2(capsys):
     assert main(["run"]) == 2
     assert "scenario file or --resume" in capsys.readouterr().err

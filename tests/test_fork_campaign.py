@@ -251,8 +251,16 @@ def test_until_run_checkpoints_land_on_exact_multiples(tmp_path):
 
 
 def test_fork_fallback_is_silent_for_unforkable_campaigns():
+    # A flat campaign and a fork fallback both run as the tree with no
+    # snapshot node: no fork field may be filled, recorded or pooled
+    # (else `repro run` prints a fork-tree line and --trace-out carries
+    # fork events).
     fig6a = apply_smoke(load_file(SCENARIO_DIR / "fig6a.toml"))
     scratch = run_campaign(fig6a)
-    forked = run_campaign(fig6a, fork=True)
-    assert forked.fork_cycle is None
-    assert forked.digest() == scratch.digest()
+    for fork in (False, True):
+        for options in ({"record": True}, {"jobs": 2}):
+            result = run_campaign(fig6a, fork=fork, **options)
+            assert result.fork_cycle is None, (fork, options)
+            assert result.fork_stats is None, (fork, options)
+            assert result.fork_trace is None, (fork, options)
+            assert result.digest() == scratch.digest(), (fork, options)

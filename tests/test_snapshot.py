@@ -23,7 +23,11 @@ from repro.scenario import (
     loads,
     run_point,
 )
-from repro.scenario.runner import _elaborate_point, collect_observables
+from repro.scenario.runner import (
+    _elaborate_point,
+    _run_prefix,
+    collect_observables,
+)
 from repro.sim import Channel, SimulationError, Simulator
 from repro.snapshot import (
     SnapshotError,
@@ -409,8 +413,14 @@ def test_resume_flag_mismatch_is_a_scenario_error(tmp_path):
     system, _ = _elaborate_point(point)
     system.sim.run(10)
     state = capture_simulator(system.sim)
-    with pytest.raises(ScenarioError, match="kernel flags"):
+    with pytest.raises(ScenarioError, match="kernel flags") as leaf:
         run_point(point, batched=False, resume_state=state)
+    assert leaf.value.path == "resume"
+    # A fork-tree prefix edge restores through the same body.
+    with pytest.raises(ScenarioError, match="kernel flags") as edge:
+        _run_prefix(point, 20, active_set=None, batched=False,
+                    resume_state=state)
+    assert edge.value.path == "fork"
 
 
 # ----------------------------------------------------------------------
