@@ -19,6 +19,7 @@ from typing import Any, Optional, Sequence
 
 from repro.realm.bookkeeping import BookkeepingSnapshot
 from repro.realm.regions import RegionConfig
+from repro.sim.kernel import Stateful
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class BudgetAdvisor:
         return demand / self.link_bytes_per_cycle
 
 
-class AdvisorLoop:
+class AdvisorLoop(Stateful):
     """The ROADMAP advisor loop as a closed control-plane client.
 
     Each :meth:`step` runs one iteration of the paper's operator loop
@@ -154,7 +155,10 @@ class AdvisorLoop:
 
     Every input and output is an integer probe/knob value, so advised
     runs stay bit-identical across kernels and process-pool fan-out.
+    The loop's state is captured through the schedule rule that owns it.
     """
+
+    _STATE_FIELDS = ("history", "_last_cycle", "_last_bytes")
 
     def __init__(
         self,
@@ -251,24 +255,3 @@ class AdvisorLoop:
             "budgets": {plan.name: plan.budget_bytes for plan in plans},
         })
         return plans
-
-    # ------------------------------------------------------------------
-    # snapshot contract (captured via the schedule rule that owns us)
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "history": [
-                {"cycle": entry["cycle"], "budgets": dict(entry["budgets"])}
-                for entry in self.history
-            ],
-            "last_cycle": self._last_cycle,
-            "last_bytes": dict(self._last_bytes),
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.history = [
-            {"cycle": entry["cycle"], "budgets": dict(entry["budgets"])}
-            for entry in state["history"]
-        ]
-        self._last_cycle = state["last_cycle"]
-        self._last_bytes = dict(state["last_bytes"])

@@ -18,6 +18,8 @@ from repro.sim.kernel import Component
 class AbeEqualizer(Component):
     """Burst splitter + outstanding-transaction cap."""
 
+    _STATE_FIELDS = ("outstanding", "denied")
+
     def __init__(
         self,
         up: AxiBundle,
@@ -70,14 +72,12 @@ class AbeEqualizer(Component):
 
     def state_capture(self) -> dict:
         return {
+            **super().state_capture(),
             "splitter": self.splitter.state_capture(),
             "link": self._link.state_capture(),
-            "outstanding": self.outstanding,
-            "denied": self.denied,
         }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         self.splitter.state_restore(state["splitter"])
         self._link.state_restore(state["link"])
-        self.outstanding = state["outstanding"]
-        self.denied = state["denied"]

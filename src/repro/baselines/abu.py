@@ -17,6 +17,8 @@ from repro.sim.kernel import Component
 class AbuRegulator(Component):
     """Budget/period gate in front of one manager."""
 
+    _STATE_FIELDS = ("denied",)
+
     def __init__(
         self,
         up: AxiBundle,
@@ -61,8 +63,11 @@ class AbuRegulator(Component):
             self.up.r.send(self.down.r.recv())
 
     def state_capture(self) -> dict:
-        return {"region": self.region.state_capture(), "denied": self.denied}
+        return {
+            **super().state_capture(),
+            "region": self.region.state_capture(),
+        }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         self.region.state_restore(state["region"])
-        self.denied = state["denied"]

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.control.knobs import KnobError, KnobRegistry
 from repro.control.probes import ProbeRegistry
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, Stateful
 
 
 class ScheduleError(Exception):
@@ -111,8 +111,10 @@ class Rule:
     armed: Optional[tuple[int, int]] = None
 
 
-class Schedule:
+class Schedule(Stateful):
     """Owns the rules, their timeseries, and the kernel hook chain."""
+
+    _STATE_FIELDS = ("series",)
 
     def __init__(
         self,
@@ -126,7 +128,7 @@ class Schedule:
         self.rules: list[Rule] = []
         #: label -> [{"cycle": c, "values": {path: value}}, ...]
         self.series: dict[str, list[dict[str, Any]]] = {}
-        # repro: lint-ok[snapshot-coverage] arm-order tiebreaker; state_restore re-arms every rule in captured order, rebuilding it
+        # repro: lint-ok[snapshot-coverage] arm-order tiebreaker; captures record each pending rule's rank instead, and state_restore re-arms the rules in rank order
         self._arm_seq = 0
         # Checkpoints capture rule state here instead of the kernel's
         # hook heap (hooks are closures); restore re-arms every rule.
@@ -368,28 +370,29 @@ class Schedule:
     def state_capture(self) -> dict:
         """Rule progress, pending-arm info, timeseries, and the state of
         stateful rule owners (e.g. advisor loops).  The kernel's hook
-        heap itself is never captured — restore re-arms each rule at
-        its captured cycle, in captured order, which reproduces the
-        same firing order the uninterrupted run would have had."""
+        heap itself is never captured — each pending rule records its
+        cycle and its rank among the pending rules, and restore re-arms
+        them in that order, which reproduces the same firing order the
+        uninterrupted run would have had.  The rank, unlike the arm
+        counter a restore renumbers, depends on simulated state only."""
+        pending = sorted(r.armed for r in self.rules if r.armed is not None)
         rules = []
         for rule in self.rules:
+            armed = rule.armed
+            if armed is not None:
+                armed = (armed[0], pending.index(armed))
             entry: dict[str, Any] = {
                 "label": rule.label,
                 "fired": rule.fired,
                 "evaluations": rule.evaluations,
                 "active": rule.active,
                 "prev": rule.prev,
-                "armed": rule.armed,
+                "armed": armed,
             }
             if rule.owner is not None and hasattr(rule.owner, "state_capture"):
                 entry["owner"] = rule.owner.state_capture()
             rules.append(entry)
-        return {
-            "rules": rules,
-            "series": {
-                label: list(samples) for label, samples in self.series.items()
-            },
-        }
+        return {**super().state_capture(), "rules": rules}
 
     def state_restore(self, state: dict) -> None:
         captured = state["rules"]
@@ -418,10 +421,7 @@ class Schedule:
                         "restored rule has no stateful owner"
                     )
                 rule.owner.state_restore(entry["owner"])
-        self.series = {
-            label: list(samples)
-            for label, samples in state["series"].items()
-        }
+        super().state_restore(state)
         # Re-arm in the captured order so same-cycle hooks fire in the
         # order the uninterrupted run would have used.
         pending = sorted(

@@ -63,6 +63,11 @@ class AxiCrossbar(Component):
     indices.
     """
 
+    _STATE_FIELDS = (
+        "_w_order", "_w_route", "_err_b", "_err_r", "_err_w_ids", "_r_lock",
+        "aw_forwarded", "ar_forwarded", "decode_errors",
+    )
+
     def __init__(
         self,
         manager_ports: Sequence[AxiBundle],
@@ -232,17 +237,12 @@ class AxiCrossbar(Component):
         by their endpoints; re-installed on restore)."""
         subs = self.subs
         return {
+            **super().state_capture(),
             "qos_override": dict(self.qos_override),
             "aw_arb": [a.state_capture() for a in self._aw_arb],
             "ar_arb": [a.state_capture() for a in self._ar_arb],
             "b_arb": [a.state_capture() for a in self._b_arb],
             "r_arb": [a.state_capture() for a in self._r_arb],
-            "w_order": [deque(q) for q in self._w_order],
-            "w_route": [deque(q) for q in self._w_route],
-            "err_b": [deque(q) for q in self._err_b],
-            "err_r": [deque(q) for q in self._err_r],
-            "err_w_ids": [deque(q) for q in self._err_w_ids],
-            "r_lock": list(self._r_lock),
             "w_express": {
                 mi: next(
                     si for si, sub in enumerate(subs)
@@ -257,12 +257,10 @@ class AxiCrossbar(Component):
                 )
                 for mi, order in self._r_express.items()
             },
-            "aw_forwarded": self.aw_forwarded,
-            "ar_forwarded": self.ar_forwarded,
-            "decode_errors": self.decode_errors,
         }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         self.qos_override.clear()
         self.qos_override.update(state["qos_override"])
         for arb, ptr in zip(self._aw_arb, state["aw_arb"]):
@@ -273,15 +271,6 @@ class AxiCrossbar(Component):
             arb.state_restore(ptr)
         for arb, ptr in zip(self._r_arb, state["r_arb"]):
             arb.state_restore(ptr)
-        self._w_order = [deque(q) for q in state["w_order"]]
-        self._w_route = [deque(q) for q in state["w_route"]]
-        self._err_b = [deque(q) for q in state["err_b"]]
-        self._err_r = [deque(q) for q in state["err_r"]]
-        self._err_w_ids = [deque(q) for q in state["err_w_ids"]]
-        self._r_lock = list(state["r_lock"])
-        self.aw_forwarded = state["aw_forwarded"]
-        self.ar_forwarded = state["ar_forwarded"]
-        self.decode_errors = state["decode_errors"]
         # Re-install live express orders.  Installation re-suppresses the
         # listener subscriptions each order manages; express execution is
         # order-independent (every order owns disjoint channels for the

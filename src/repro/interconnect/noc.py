@@ -28,7 +28,7 @@ from repro.axi.ports import AxiBundle
 from repro.axi.types import Resp
 from repro.interconnect.address_map import AddressMap
 from repro.interconnect.arbiter import RoundRobinArbiter
-from repro.sim.kernel import Component, SimulationError
+from repro.sim.kernel import Component, SimulationError, Stateful
 
 
 @dataclass(slots=True)
@@ -41,10 +41,11 @@ class Flit:
     src: tuple[int, int]
 
 
-class _Router:
+class _Router(Stateful):
     """One mesh router: 5 input queues, XY routing, RR per output."""
 
     DIRECTIONS = ("local", "north", "south", "east", "west")
+    _STATE_FIELDS = ("flits_routed",)
 
     def __init__(self, x: int, y: int, depth: int = 4) -> None:
         self.x = x
@@ -159,15 +160,16 @@ class _Router:
 
     def state_capture(self) -> dict:
         return {
+            **super().state_capture(),
             "inputs": {d: deque(q) for d, q in self.inputs.items()},
             "arbiters": {
                 d: a.state_capture() for d, a in self._arbiters.items()
             },
             "staged": dict(self.staged),
-            "flits_routed": self.flits_routed,
         }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         held = 0
         for direction in self.DIRECTIONS:
             queue = self.inputs[direction]
@@ -179,11 +181,10 @@ class _Router:
             flit = state["staged"][direction]
             self.staged[direction] = flit
             held += len(queue) + (flit is not None)
-        self.flits_routed = state["flits_routed"]
         self.held = held
 
 
-class _MeshNetwork:
+class _MeshNetwork(Stateful):
     """One physical network: a grid of routers moved once per cycle.
 
     The batched datapath keeps an *active* set of router coordinates, a
@@ -198,6 +199,7 @@ class _MeshNetwork:
                  "east": "west", "west": "east"}
     _DELTA = {"north": (0, 1), "south": (0, -1),
               "east": (1, 0), "west": (-1, 0)}
+    _STATE_FIELDS = ("flits",)
 
     def __init__(self, width: int, height: int, depth: int = 4) -> None:
         self.width = width
@@ -303,7 +305,7 @@ class _MeshNetwork:
 
     def state_capture(self) -> dict:
         return {
-            "flits": self.flits,
+            **super().state_capture(),
             "active": sorted(self._active),
             "routers": {
                 node: router.state_capture()
@@ -312,7 +314,7 @@ class _MeshNetwork:
         }
 
     def state_restore(self, state: dict) -> None:
-        self.flits = state["flits"]
+        super().state_restore(state)
         self._active = set(state["active"])
         for node, router_state in state["routers"].items():
             self.routers[node].state_restore(router_state)
@@ -328,6 +330,11 @@ class AxiNoc(Component):
     the manager's NI: one DECERR R beat per requested beat, or one
     DECERR B after the burst's last W, queued until the channel is free.
     """
+
+    _STATE_FIELDS = (
+        "_w_route", "_err_w", "_err_b", "_err_r", "_sub_aw_order",
+        "_sub_w_queues", "flits_injected",
+    )
 
     def __init__(
         self,
@@ -587,36 +594,17 @@ class AxiNoc(Component):
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
         return {
+            **super().state_capture(),
             "request_net": self.request_net.state_capture(),
             "response_net": self.response_net.state_capture(),
-            "w_route": {n: deque(q) for n, q in self._w_route.items()},
-            "err_w": [deque(q) for q in self._err_w],
-            "err_b": [deque(q) for q in self._err_b],
-            "err_r": [deque(q) for q in self._err_r],
-            "sub_aw_order": {
-                n: deque(q) for n, q in self._sub_aw_order.items()
-            },
-            "sub_w_queues": {
-                n: {src: deque(q) for src, q in queues.items()}
-                for n, queues in self._sub_w_queues.items()
-            },
-            "flits_injected": self.flits_injected,
         }
 
     def state_restore(self, state: dict) -> None:
+        # Checkpoints written before the NI queued DECERR beats hold none.
+        legacy = {
+            key: [deque() for _ in self._mgr_nodes]
+            for key in ("err_w", "err_b", "err_r")
+        }
+        super().state_restore({**legacy, **state})
         self.request_net.state_restore(state["request_net"])
         self.response_net.state_restore(state["response_net"])
-        for node, queue in state["w_route"].items():
-            self._w_route[node] = deque(queue)
-        # Checkpoints written before the NI queued DECERR beats hold none.
-        empty = [()] * len(self._mgr_nodes)
-        self._err_w = [deque(q) for q in state.get("err_w", empty)]
-        self._err_b = [deque(q) for q in state.get("err_b", empty)]
-        self._err_r = [deque(q) for q in state.get("err_r", empty)]
-        for node, queue in state["sub_aw_order"].items():
-            self._sub_aw_order[node] = deque(queue)
-        for node, queues in state["sub_w_queues"].items():
-            self._sub_w_queues[node] = {
-                src: deque(q) for src, q in queues.items()
-            }
-        self.flits_injected = state["flits_injected"]

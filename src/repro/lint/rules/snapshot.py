@@ -1,26 +1,28 @@
 """snapshot-coverage: every mutable attribute is captured & restored.
 
-DESIGN.md §10's contract, checked statically: a class that ticks (or
-already defines a snapshot hook) and assigns mutable state must define
-``state_capture``, every such attribute must be read inside the
-capture body, and the capture dict's keys must be exactly the keys
-``state_restore`` consumes.  Scoped to the component packages whose
-instances end up inside a snapshot tree.
+DESIGN.md §10's contract, checked statically: a class that ticks,
+defines a snapshot hook, declares a ``_STATE_FIELDS`` table or
+subclasses ``Stateful``, and that holds mutable state, must capture
+it.  A class-level ``_STATE_FIELDS`` tuple is that class's capture
+*and* restore of every name it lists (the shared hooks of
+:class:`repro.sim.kernel.Stateful` walk it); every other such
+attribute must be read inside a hand-written ``state_capture``, whose
+dict keys must be exactly the keys ``state_restore`` consumes.  Scoped
+to the packages whose instances end up inside a snapshot tree.
 
 What counts as *mutable state* is deliberately shape-based:
 
-* every ``self.X`` assigned in ``state_restore`` (restore exists to
-  rewind state, so everything it touches is simulated state by
-  definition);
+* every ``self.X`` assigned or mutated (an item store, ``append``,
+  ``pop``, ...) in any method other than ``__init__``;
 * ``self.X`` assigned in ``__init__`` to a state-shaped initializer —
   a constant, a container literal/comprehension, or a ``list``/
   ``dict``/``set``/``deque``/... constructor call.  Attributes
-  initialized from constructor *parameters* or other objects are
-  configuration/wiring, not state, and are exempt.
+  initialized from constructor *parameters* or other objects, and
+  never written again, are configuration/wiring, not state.
 
 Deliberate exemptions (e.g. REALM's span-replay counters, which are
 execution strategy rather than simulated state) are suppressed at the
-assignment site with a reason.
+``__init__`` assignment site with a reason.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.lint.core import Finding, ModuleInfo, Rule
 #: Packages whose classes participate in snapshots (DESIGN.md §10).
 SNAPSHOT_PACKAGES = (
     "realm", "sim", "mem", "interconnect", "traffic", "baselines",
-    "control",
+    "control", "analysis",
 )
 
 _STATE_CONSTRUCTORS = frozenset((
@@ -44,6 +46,11 @@ _CONTAINER_LITERALS = (
     ast.List, ast.Dict, ast.Set, ast.Tuple,
     ast.ListComp, ast.DictComp, ast.SetComp,
 )
+_MUTATORS = frozenset((
+    "add", "append", "appendleft", "clear", "discard", "extend",
+    "extendleft", "insert", "move_to_end", "pop", "popitem", "popleft",
+    "remove", "reverse", "rotate", "setdefault", "sort", "update",
+))
 
 
 def _self_attr_target(node: ast.expr) -> Optional[str]:
@@ -54,6 +61,13 @@ def _self_attr_target(node: ast.expr) -> Optional[str]:
     ):
         return node.attr
     return None
+
+
+def _subscripted_attr(node: ast.expr) -> Optional[str]:
+    """``X`` of ``self.X``, ``self.X[i]``, ``self.X[i][j]``, ..."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _self_attr_target(node)
 
 
 def _is_state_shaped(value: ast.expr) -> bool:
@@ -82,7 +96,10 @@ def _is_state_shaped(value: ast.expr) -> bool:
 def _assigned_attrs(
     func: ast.FunctionDef, *, state_shaped_only: bool
 ) -> dict[str, int]:
-    """``self.X`` assignment targets in *func* -> first assignment line."""
+    """``self.X`` written in *func* -> first line: assigned, item-stored,
+    deleted from, or mutated through a container method.  With
+    *state_shaped_only*, only assignments of a state-shaped initializer
+    (or tuple unpacks) count."""
     out: dict[str, int] = {}
     for node in ast.walk(func):
         targets: list[ast.expr] = []
@@ -90,33 +107,72 @@ def _assigned_attrs(
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-            value = getattr(node, "value", None)
-        for target in targets:
-            if isinstance(target, ast.Tuple):
-                inner = list(target.elts)
-            else:
-                inner = [target]
-            for element in inner:
-                attr = _self_attr_target(element)
-                if attr is None:
-                    continue
-                if state_shaped_only and not (
-                    isinstance(target, ast.Tuple)
-                    or (value is not None and _is_state_shaped(value))
-                ):
-                    continue
-                out.setdefault(attr, element.lineno)
-        # mutating calls: self._pending.clear() style
-        if (
+            targets, value = [node.target], node.value
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("clear", "update", "extend", "append")
+            and node.func.attr in _MUTATORS
         ):
-            attr = _self_attr_target(node.func.value)
-            if attr is not None and not state_shaped_only:
-                out.setdefault(attr, node.lineno)
+            targets = [node.func.value]
+        for target in targets:
+            unpacked = isinstance(target, ast.Tuple)
+            for element in target.elts if unpacked else [target]:
+                if not state_shaped_only:
+                    attr = _subscripted_attr(element)
+                elif unpacked or (value is not None
+                                  and _is_state_shaped(value)):
+                    attr = _self_attr_target(element)
+                else:
+                    continue
+                if attr is not None:
+                    out.setdefault(attr, element.lineno)
     return out
+
+
+def state_evidence(cls: ast.ClassDef) -> dict[str, int]:
+    """The class's mutable-state attributes -> the line a finding about
+    each is reported at (its ``__init__`` assignment when it has one,
+    where a suppression belongs)."""
+    init_lines: dict[str, int] = {}
+    evidence: dict[str, int] = {}
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.FunctionDef):
+            continue
+        is_init = stmt.name == "__init__"
+        if is_init:
+            init_lines = _assigned_attrs(stmt, state_shaped_only=False)
+        found = _assigned_attrs(stmt, state_shaped_only=is_init)
+        for attr, line in found.items():
+            evidence.setdefault(attr, line)
+    return {
+        attr: init_lines.get(attr, line) for attr, line in evidence.items()
+    }
+
+
+def state_table(cls: ast.ClassDef) -> Optional[list[str]]:
+    """The names of a class-level ``_STATE_FIELDS`` tuple of string
+    constants; the inherited empty table of a direct ``Stateful``
+    subclass that declares none; else None."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "_STATE_FIELDS"
+               for t in targets) and isinstance(stmt.value, (ast.Tuple,
+                                                             ast.List)):
+            return [
+                elt.value for elt in stmt.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            ]
+    for base in cls.bases:
+        if getattr(base, "id", getattr(base, "attr", None)) == "Stateful":
+            return []
+    return None
 
 
 def _attrs_read(func: ast.FunctionDef) -> set[str]:
@@ -129,53 +185,29 @@ def _attrs_read(func: ast.FunctionDef) -> set[str]:
     }
 
 
-def _name_table_coverage(cls: ast.ClassDef, capture: ast.FunctionDef) -> set[str]:
-    """Attr names covered via the getattr-over-a-name-table idiom::
-
-        _STATE_FIELDS = ("a", "b", ...)
-        def state_capture(self):
-            return {n: getattr(self, n) for n in self._STATE_FIELDS}
-
-    Any class-level tuple/list of string constants that the capture body
-    references (as ``self.NAME`` or bare ``NAME``) contributes its
-    strings as covered attributes."""
-    tables: dict[str, set[str]] = {}
-    for stmt in cls.body:
-        value = getattr(stmt, "value", None)
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
-                   else [])
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            continue
-        strings = {
-            elt.value for elt in value.elts
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        }
-        if len(strings) != len(value.elts):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                tables[target.id] = strings
-    if not tables:
-        return set()
-    referenced = _attrs_read(capture) | {
-        node.id for node in ast.walk(capture) if isinstance(node, ast.Name)
-    }
-    out: set[str] = set()
-    for name, strings in tables.items():
-        if name in referenced:
-            out |= strings
-    return out
+def _is_super_capture(value: ast.expr) -> bool:
+    """``super().state_capture()``"""
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Attribute)
+        and value.func.attr == "state_capture"
+        and isinstance(value.func.value, ast.Call)
+        and isinstance(value.func.value.func, ast.Name)
+        and value.func.value.func.id == "super"
+    )
 
 
 def _capture_keys(func: ast.FunctionDef) -> Optional[set[str]]:
     """Top-level string keys of the dict literal ``state_capture``
-    returns, or None when the body doesn't return a plain dict literal
-    (key symmetry can't be checked statically then)."""
+    returns (a ``**super().state_capture()`` entry adds the table's,
+    counted separately), or None when the body doesn't return such a
+    literal (key symmetry can't be checked statically then)."""
     for node in ast.walk(func):
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
             keys: set[str] = set()
-            for key in node.value.keys:
+            for key, value in zip(node.value.keys, node.value.values):
+                if key is None and _is_super_capture(value):
+                    continue
                 if not (isinstance(key, ast.Constant)
                         and isinstance(key.value, str)):
                     return None
@@ -186,25 +218,22 @@ def _capture_keys(func: ast.FunctionDef) -> Optional[set[str]]:
 
 def _restore_keys(func: ast.FunctionDef) -> Optional[set[str]]:
     """Keys ``state_restore`` consumes from its state argument via
-    ``state["k"]`` / ``state.get("k")``; None when the argument is
-    passed on whole (e.g. delegated restore)."""
+    ``state["k"]`` / ``state.get("k")``; None when it consumes none but
+    passes the argument on whole (e.g. delegated restore)."""
     args = [a.arg for a in func.args.args if a.arg != "self"]
     if not args:
         return None
     state_name = args[0]
     keys: set[str] = set()
-    opaque = False
     for node in ast.walk(func):
         if (
             isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Name)
             and node.value.id == state_name
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)
         ):
-            if (isinstance(node.slice, ast.Constant)
-                    and isinstance(node.slice.value, str)):
-                keys.add(node.slice.value)
-            else:
-                opaque = True
+            keys.add(node.slice.value)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -216,19 +245,10 @@ def _restore_keys(func: ast.FunctionDef) -> Optional[set[str]]:
             and isinstance(node.args[0].value, str)
         ):
             keys.add(node.args[0].value)
-        elif (
-            isinstance(node, ast.Name)
-            and node.id == state_name
-            and isinstance(node.ctx, ast.Load)
-        ):
-            parent_ok = False  # bare use of the whole dict -> opaque
-            # (subscripts/get calls above already consumed their Name)
-            if not parent_ok:
-                opaque = True
-    # A bare `state` use always coexists with the Name nodes inside the
-    # subscript/get patterns; treat the method as opaque only when it
-    # consumed *no* literal keys at all.
-    if not keys and opaque:
+    if not keys and any(
+        isinstance(node, ast.Name) and node.id == state_name
+        for node in ast.walk(func)
+    ):
         return None
     return keys
 
@@ -236,8 +256,9 @@ def _restore_keys(func: ast.FunctionDef) -> Optional[set[str]]:
 class SnapshotCoverageRule(Rule):
     id = "snapshot-coverage"
     description = (
-        "mutable component state must be covered by state_capture and "
-        "consumed symmetrically by state_restore (DESIGN.md §10)"
+        "mutable component state must be covered by _STATE_FIELDS or "
+        "state_capture and consumed symmetrically by state_restore "
+        "(DESIGN.md §10)"
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:
@@ -257,25 +278,17 @@ class SnapshotCoverageRule(Rule):
             for stmt in cls.body
             if isinstance(stmt, ast.FunctionDef)
         }
-        init = methods.get("__init__")
         tick = methods.get("tick")
         capture = methods.get("state_capture")
         restore = methods.get("state_restore")
-        if not (tick or capture or restore):
+        table = state_table(cls)
+        if not (tick or capture or restore or table is not None):
             return []  # not a snapshot participant
 
-        mutable: dict[str, int] = {}
-        if init is not None:
-            mutable.update(_assigned_attrs(init, state_shaped_only=True))
-        if restore is not None:
-            for attr, line in _assigned_attrs(
-                restore, state_shaped_only=False
-            ).items():
-                mutable.setdefault(attr, line)
-
+        mutable = state_evidence(cls)
         findings: list[Finding] = []
         path = module.path
-        if capture is None:
+        if capture is None and table is None:
             if tick is not None and mutable:
                 findings.append(Finding(
                     path, cls.lineno, cls.col_offset, self.id,
@@ -290,26 +303,33 @@ class SnapshotCoverageRule(Rule):
                     f"state_capture",
                 ))
             return findings
-        if restore is None:
+        if capture is not None and restore is None:
             findings.append(Finding(
                 path, capture.lineno, capture.col_offset, self.id,
                 f"class {cls.name!r} defines state_capture without "
                 f"state_restore",
             ))
 
-        captured = _attrs_read(capture) | _name_table_coverage(cls, capture)
+        captured = set(table or ())
+        if capture is not None:
+            captured |= _attrs_read(capture)
         for attr in sorted(mutable):
             if attr not in captured and attr.lstrip("_") not in captured:
                 findings.append(Finding(
                     path, mutable[attr], 0, self.id,
-                    f"{cls.name}.{attr} is mutable state but never read "
-                    f"in state_capture",
+                    f"{cls.name}.{attr} is mutable state but neither in "
+                    f"_STATE_FIELDS nor read in state_capture",
                 ))
 
         if restore is not None:
-            produced = _capture_keys(capture)
+            table_keys = {name.lstrip("_") for name in table or ()}
+            produced = (
+                _capture_keys(capture) if capture is not None else set()
+            )
             consumed = _restore_keys(restore)
             if produced is not None and consumed is not None:
+                produced |= table_keys
+                consumed |= table_keys
                 for key in sorted(produced - consumed):
                     findings.append(Finding(
                         path, restore.lineno, restore.col_offset, self.id,

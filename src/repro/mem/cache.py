@@ -33,6 +33,15 @@ class _Line:
 class CacheLLC(Component):
     """Blocking write-back LLC between the crossbar and the DRAM."""
 
+    _STATE_FIELDS = (
+        "_sets", "_state", "_txn", "_is_read", "_addrs", "_index", "_wait",
+        "_latency_ready", "_resume", "_rr_read_first", "_staged",
+        "_staged_is_read", "_staged_wait", "_staged_ready", "_now",
+        "_wb_addr", "_wb_widx", "_refill_addr", "_refill_buf",
+        "_pending_wbeat", "_w_error", "_after_refill", "hits", "misses",
+        "writebacks", "refills", "reads_served", "writes_served",
+    )
+
     def __init__(
         self,
         front: AxiBundle,
@@ -251,72 +260,15 @@ class CacheLLC(Component):
         # reference (recomputed from _wb_addr) so the restored scratch
         # aliases the restored set entry exactly.
         wb_live = self._state in ("wb_aw", "wb_w", "wb_b")
-        return {
-            "sets": [OrderedDict(ways) for ways in self._sets],
-            "state": self._state,
-            "txn": self._txn,
-            "is_read": self._is_read,
-            "addrs": list(self._addrs),
-            "index": self._index,
-            "wait": self._wait,
-            "latency_ready": self._latency_ready,
-            "resume": self._resume,
-            "rr_read_first": self._rr_read_first,
-            "staged": self._staged,
-            "staged_is_read": self._staged_is_read,
-            "staged_wait": self._staged_wait,
-            "staged_ready": self._staged_ready,
-            "now": self._now,
-            "wb_addr": self._wb_addr,
-            "wb_live": wb_live,
-            "wb_widx": self._wb_widx,
-            "refill_addr": self._refill_addr,
-            "refill_buf": bytearray(self._refill_buf),
-            "pending_wbeat": self._pending_wbeat,
-            "w_error": self._w_error,
-            "after_refill": self._after_refill,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writebacks": self.writebacks,
-            "refills": self.refills,
-            "reads_served": self.reads_served,
-            "writes_served": self.writes_served,
-        }
+        return {**super().state_capture(), "wb_live": wb_live}
 
     def state_restore(self, state: dict) -> None:
-        self._sets = [OrderedDict(ways) for ways in state["sets"]]
-        self._state = state["state"]
-        self._txn = state["txn"]
-        self._is_read = state["is_read"]
-        self._addrs = list(state["addrs"])
-        self._index = state["index"]
-        self._wait = state["wait"]
-        self._latency_ready = state["latency_ready"]
-        self._resume = state["resume"]
-        self._rr_read_first = state["rr_read_first"]
-        self._staged = state["staged"]
-        self._staged_is_read = state["staged_is_read"]
-        self._staged_wait = state["staged_wait"]
-        self._staged_ready = state["staged_ready"]
-        self._now = state["now"]
-        self._wb_addr = state["wb_addr"]
-        self._wb_widx = state["wb_widx"]
-        self._refill_addr = state["refill_addr"]
-        self._refill_buf = bytearray(state["refill_buf"])
-        self._pending_wbeat = state["pending_wbeat"]
-        self._w_error = state["w_error"]
-        self._after_refill = state["after_refill"]
+        super().state_restore(state)
         if state["wb_live"]:
             set_idx, tag = self._set_tag(self._wb_addr)
             self._wb_line = self._sets[set_idx][tag]
         else:
             self._wb_line = None
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.writebacks = state["writebacks"]
-        self.refills = state["refills"]
-        self.reads_served = state["reads_served"]
-        self.writes_served = state["writes_served"]
 
     # -- idle: promote the staged front transaction --------------------
     def _st_idle(self) -> None:

@@ -44,6 +44,12 @@ class DramModel(Component):
     in flight at a time), matching a single-channel memory controller.
     """
 
+    _STATE_FIELDS = (
+        "_open_rows", "_kind", "_beat", "_addrs", "_index", "_wait", "_ready",
+        "_w_done", "_w_error", "_rr_read_first", "row_hits", "row_misses",
+        "reads_served", "writes_served",
+    )
+
     def __init__(
         self,
         port: AxiBundle,
@@ -136,40 +142,11 @@ class DramModel(Component):
     # snapshot contract
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
-        return {
-            "store": self.store.state_capture(),
-            "open_rows": dict(self._open_rows),
-            "kind": self._kind,
-            "beat": self._beat,
-            "addrs": list(self._addrs),
-            "index": self._index,
-            "wait": self._wait,
-            "ready": self._ready,
-            "w_done": self._w_done,
-            "w_error": self._w_error,
-            "rr_read_first": self._rr_read_first,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "reads_served": self.reads_served,
-            "writes_served": self.writes_served,
-        }
+        return {**super().state_capture(), "store": self.store.state_capture()}
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         self.store.state_restore(state["store"])
-        self._open_rows = dict(state["open_rows"])
-        self._kind = state["kind"]
-        self._beat = state["beat"]
-        self._addrs = list(state["addrs"])
-        self._index = state["index"]
-        self._wait = state["wait"]
-        self._ready = state["ready"]
-        self._w_done = state["w_done"]
-        self._w_error = state["w_error"]
-        self._rr_read_first = state["rr_read_first"]
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]
-        self.reads_served = state["reads_served"]
-        self.writes_served = state["writes_served"]
 
     # ------------------------------------------------------------------
     def _accept(self, cycle: int) -> None:

@@ -24,6 +24,13 @@ from repro.sim.span import UNBOUNDED, SpanOffer, consume, produce
 class SramMemory(Component):
     """Fixed-latency AXI subordinate backed by a byte array."""
 
+    _STATE_FIELDS = (
+        "_rd", "_rd_addrs", "_rd_index", "_rd_wait", "_rd_ready", "_rd_error",
+        "_wr", "_wr_addrs", "_wr_index", "_wr_wait", "_wr_ready", "_wr_error",
+        "_wr_done", "_atomic_r", "reads_served", "writes_served",
+        "read_beats", "write_beats", "atomics_served",
+    )
+
     def __init__(
         self,
         port: AxiBundle,
@@ -120,50 +127,11 @@ class SramMemory(Component):
     # snapshot contract
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
-        return {
-            "store": self.store.state_capture(),
-            "rd": self._rd,
-            "rd_addrs": list(self._rd_addrs),
-            "rd_index": self._rd_index,
-            "rd_wait": self._rd_wait,
-            "rd_ready": self._rd_ready,
-            "rd_error": self._rd_error,
-            "wr": self._wr,
-            "wr_addrs": list(self._wr_addrs),
-            "wr_index": self._wr_index,
-            "wr_wait": self._wr_wait,
-            "wr_ready": self._wr_ready,
-            "wr_error": self._wr_error,
-            "wr_done": self._wr_done,
-            "atomic_r": self._atomic_r,
-            "reads_served": self.reads_served,
-            "writes_served": self.writes_served,
-            "read_beats": self.read_beats,
-            "write_beats": self.write_beats,
-            "atomics_served": self.atomics_served,
-        }
+        return {**super().state_capture(), "store": self.store.state_capture()}
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         self.store.state_restore(state["store"])
-        self._rd = state["rd"]
-        self._rd_addrs = list(state["rd_addrs"])
-        self._rd_index = state["rd_index"]
-        self._rd_wait = state["rd_wait"]
-        self._rd_ready = state["rd_ready"]
-        self._rd_error = state["rd_error"]
-        self._wr = state["wr"]
-        self._wr_addrs = list(state["wr_addrs"])
-        self._wr_index = state["wr_index"]
-        self._wr_wait = state["wr_wait"]
-        self._wr_ready = state["wr_ready"]
-        self._wr_error = state["wr_error"]
-        self._wr_done = state["wr_done"]
-        self._atomic_r = state["atomic_r"]
-        self.reads_served = state["reads_served"]
-        self.writes_served = state["writes_served"]
-        self.read_beats = state["read_beats"]
-        self.write_beats = state["write_beats"]
-        self.atomics_served = state["atomics_served"]
 
     # ------------------------------------------------------------------
     # span-replay (DESIGN.md section 11)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.kernel import Stateful
+
 
 @dataclass(frozen=True)
 class BookkeepingSnapshot:
@@ -47,8 +49,14 @@ class BookkeepingSnapshot:
         return self.latency_sum / self.txn_count
 
 
-class BookkeepingUnit:
+class BookkeepingUnit(Stateful):
     """Mutable counters behind one region's snapshot."""
+
+    _STATE_FIELDS = (
+        "bytes_this_period", "cycles_into_period", "total_bytes",
+        "read_bytes", "write_bytes", "txn_count", "latency_sum",
+        "latency_max", "latency_min", "stall_cycles",
+    )
 
     def __init__(self) -> None:
         self.bytes_this_period = 0
@@ -102,19 +110,3 @@ class BookkeepingUnit:
             latency_min=self.latency_min,
             stall_cycles=self.stall_cycles,
         )
-
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = (
-        "bytes_this_period", "cycles_into_period", "total_bytes",
-        "read_bytes", "write_bytes", "txn_count", "latency_sum",
-        "latency_max", "latency_min", "stall_cycles",
-    )
-
-    def state_capture(self) -> dict:
-        return {name: getattr(self, name) for name in self._STATE_FIELDS}
-
-    def state_restore(self, state: dict) -> None:
-        for name in self._STATE_FIELDS:
-            setattr(self, name, state[name])

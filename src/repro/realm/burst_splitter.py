@@ -26,10 +26,16 @@ from typing import Optional
 from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat
 from repro.axi.transaction import fragment_burst
 from repro.axi.types import Resp, merge_resp
+from repro.sim.kernel import Stateful
 
 
-class BurstSplitterStage:
+class BurstSplitterStage(Stateful):
     """Second stage of the REALM unit pipeline."""
+
+    _STATE_FIELDS = (
+        "_aw_fragments", "_ar_fragments", "_w_boundaries", "_w_beats_left",
+        "_b_acc", "bursts_split", "fragments_emitted",
+    )
 
     def __init__(self, up, down, config, name: str = "splitter") -> None:
         self.name = name
@@ -225,38 +231,18 @@ class BurstSplitterStage:
             self.up.r.send(beat)
 
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # snapshot contract
+    # snapshot contract: the per-ID defaultdicts travel as plain dicts
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
         return {
-            "aw_fragments": deque(self._aw_fragments),
-            "ar_fragments": deque(self._ar_fragments),
-            "w_boundaries": deque(deque(b) for b in self._w_boundaries),
-            "w_beats_left": self._w_beats_left,
-            "b_expect": {k: deque(v) for k, v in self._b_expect.items()},
-            "b_acc": dict(self._b_acc),
-            "r_expect": {k: deque(v) for k, v in self._r_expect.items()},
+            **super().state_capture(),
+            "b_expect": dict(self._b_expect),
+            "r_expect": dict(self._r_expect),
             "r_seen": dict(self._r_seen),
-            "bursts_split": self.bursts_split,
-            "fragments_emitted": self.fragments_emitted,
         }
 
     def state_restore(self, state: dict) -> None:
-        self._aw_fragments = deque(state["aw_fragments"])
-        self._ar_fragments = deque(state["ar_fragments"])
-        self._w_boundaries = deque(deque(b) for b in state["w_boundaries"])
-        self._w_beats_left = state["w_beats_left"]
-        self._b_expect = defaultdict(deque)
-        self._b_expect.update(
-            (k, deque(v)) for k, v in state["b_expect"].items()
-        )
-        self._b_acc = dict(state["b_acc"])
-        self._r_expect = defaultdict(deque)
-        self._r_expect.update(
-            (k, deque(v)) for k, v in state["r_expect"].items()
-        )
-        self._r_seen = defaultdict(int)
-        self._r_seen.update(state["r_seen"])
-        self.bursts_split = state["bursts_split"]
-        self.fragments_emitted = state["fragments_emitted"]
+        super().state_restore(state)
+        self._b_expect = defaultdict(deque, state["b_expect"])
+        self._r_expect = defaultdict(deque, state["r_expect"])
+        self._r_seen = defaultdict(int, state["r_seen"])

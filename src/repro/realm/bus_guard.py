@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.sim.kernel import Stateful
+
 NO_OWNER = -1
 GUARD_REGISTER_OFFSET = 0x0
 
@@ -20,8 +22,11 @@ class BusGuardError(Exception):
     """Raised by guarded accesses that are rejected; carries the reason."""
 
 
-class BusGuard:
-    """Ownership gate in front of a register file."""
+class BusGuard(Stateful):
+    """Ownership gate in front of a register file (a simulator state
+    client)."""
+
+    _STATE_FIELDS = ("_owner", "rejected_accesses", "handovers")
 
     def __init__(self) -> None:
         self._owner: int = NO_OWNER
@@ -73,18 +78,3 @@ class BusGuard:
         """The guard register reads back the current owner (or NO_OWNER);
         readable by anyone so managers can discover the owner."""
         return self._owner
-
-    # ------------------------------------------------------------------
-    # snapshot contract (registered as a simulator state client)
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "owner": self._owner,
-            "rejected_accesses": self.rejected_accesses,
-            "handovers": self.handovers,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self._owner = state["owner"]
-        self.rejected_accesses = state["rejected_accesses"]
-        self.handovers = state["handovers"]

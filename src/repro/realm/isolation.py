@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from repro.sim.kernel import Stateful
+
 
 class IsolationMode(Enum):
     PASS = "pass"
@@ -26,8 +28,13 @@ _DRAINING = IsolationMode.DRAINING
 _ISOLATED = IsolationMode.ISOLATED
 
 
-class IsolationStage:
+class IsolationStage(Stateful):
     """Ingress stage of the REALM unit pipeline."""
+
+    _STATE_FIELDS = (
+        "mode", "outstanding_reads", "outstanding_writes", "_w_bursts_owed",
+        "reasons", "blocked_aw", "blocked_ar", "isolation_events",
+    )
 
     def __init__(self, up, down, name: str = "isolate") -> None:
         self.name = name
@@ -114,28 +121,3 @@ class IsolationStage:
                 self.outstanding_reads -= 1
         if self.mode is _DRAINING and self._drained:
             self.mode = _ISOLATED
-
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "mode": self.mode,
-            "outstanding_reads": self.outstanding_reads,
-            "outstanding_writes": self.outstanding_writes,
-            "w_bursts_owed": self._w_bursts_owed,
-            "reasons": set(self.reasons),
-            "blocked_aw": self.blocked_aw,
-            "blocked_ar": self.blocked_ar,
-            "isolation_events": self.isolation_events,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.mode = state["mode"]
-        self.outstanding_reads = state["outstanding_reads"]
-        self.outstanding_writes = state["outstanding_writes"]
-        self._w_bursts_owed = state["w_bursts_owed"]
-        self.reasons = set(state["reasons"])
-        self.blocked_aw = state["blocked_aw"]
-        self.blocked_ar = state["blocked_ar"]
-        self.isolation_events = state["isolation_events"]

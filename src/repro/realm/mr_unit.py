@@ -23,10 +23,17 @@ from typing import Optional
 from repro.realm.bookkeeping import BookkeepingSnapshot, BookkeepingUnit
 from repro.realm.regions import UNLIMITED, RegionState
 from repro.realm.throttle import ThrottleUnit
+from repro.sim.kernel import Stateful
 
 
-class MonitorRegulationStage:
+class MonitorRegulationStage(Stateful):
     """Final stage of the REALM unit pipeline."""
+
+    _STATE_FIELDS = (
+        "regulation_enabled", "outstanding", "_last_cycle",
+        "stalled_this_cycle", "transferring_this_cycle", "denied_by_budget",
+        "denied_by_throttle",
+    )
 
     def __init__(
         self,
@@ -236,45 +243,27 @@ class MonitorRegulationStage:
             self.books[region_idx].on_latency(cycle - issue_cycle)
 
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # snapshot contract
+    # snapshot contract: the per-ID defaultdicts travel as plain dicts of
+    # their non-empty FIFOs
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
         return {
-            "regulation_enabled": self.regulation_enabled,
+            **super().state_capture(),
             "regions": [region.state_capture() for region in self.regions],
             "books": [book.state_capture() for book in self.books],
-            "outstanding": self.outstanding,
-            "last_cycle": self._last_cycle,
             "write_inflight": {
-                k: deque(v) for k, v in self._write_inflight.items() if v
+                k: v for k, v in self._write_inflight.items() if v
             },
             "read_inflight": {
-                k: deque(v) for k, v in self._read_inflight.items() if v
+                k: v for k, v in self._read_inflight.items() if v
             },
-            "stalled_this_cycle": self.stalled_this_cycle,
-            "transferring_this_cycle": self.transferring_this_cycle,
-            "denied_by_budget": self.denied_by_budget,
-            "denied_by_throttle": self.denied_by_throttle,
         }
 
     def state_restore(self, state: dict) -> None:
-        self.regulation_enabled = state["regulation_enabled"]
+        super().state_restore(state)
         for region, region_state in zip(self.regions, state["regions"]):
             region.state_restore(region_state)
         for book, book_state in zip(self.books, state["books"]):
             book.state_restore(book_state)
-        self.outstanding = state["outstanding"]
-        self._last_cycle = state["last_cycle"]
-        self._write_inflight = defaultdict(deque)
-        self._write_inflight.update(
-            (k, deque(v)) for k, v in state["write_inflight"].items()
-        )
-        self._read_inflight = defaultdict(deque)
-        self._read_inflight.update(
-            (k, deque(v)) for k, v in state["read_inflight"].items()
-        )
-        self.stalled_this_cycle = state["stalled_this_cycle"]
-        self.transferring_this_cycle = state["transferring_this_cycle"]
-        self.denied_by_budget = state["denied_by_budget"]
-        self.denied_by_throttle = state["denied_by_throttle"]
+        self._write_inflight = defaultdict(deque, state["write_inflight"])
+        self._read_inflight = defaultdict(deque, state["read_inflight"])

@@ -44,6 +44,8 @@ class RegbusRsp:
 class RegbusAdapter(Component):
     """Serves one register access per cycle from the request channel."""
 
+    _STATE_FIELDS = ("_pending", "_wait", "accesses", "errors")
+
     def __init__(
         self,
         sim: Simulator,
@@ -97,26 +99,11 @@ class RegbusAdapter(Component):
                           tid=request.tid)
             )
 
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "pending": self._pending,
-            "wait": self._wait,
-            "accesses": self.accesses,
-            "errors": self.errors,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self._pending = state["pending"]
-        self._wait = state["wait"]
-        self.accesses = state["accesses"]
-        self.errors = state["errors"]
-
 
 class RegbusRequester(Component):
     """Scripted requester for tests and boot-flow models."""
+
+    _STATE_FIELDS = ("_queue", "_next_tag", "responses")
 
     def __init__(self, adapter: RegbusAdapter, tid: int,
                  name: str = "requester") -> None:
@@ -158,18 +145,3 @@ class RegbusRequester(Component):
             and self.adapter.rsp.peek().tid == self.tid
         ):
             self.responses.append(self.adapter.rsp.recv())
-
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "queue": list(self._queue),
-            "next_tag": self._next_tag,
-            "responses": list(self.responses),
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self._queue = list(state["queue"])
-        self._next_tag = state["next_tag"]
-        self.responses = list(state["responses"])

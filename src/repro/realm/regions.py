@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.kernel import Stateful
+
 
 # A budget large enough to never deplete: used by "monitoring only" setups
 # and as the reset value.
@@ -30,8 +32,10 @@ class RegionConfig:
         return self.size > 0 and self.base <= addr < self.base + self.size
 
 
-class RegionState:
+class RegionState(Stateful):
     """Live regulation state of one region: credits and the period clock."""
+
+    _STATE_FIELDS = ("remaining", "cycles_into_period", "periods_elapsed")
 
     def __init__(self, config: RegionConfig) -> None:
         self.config = config
@@ -105,16 +109,15 @@ class RegionState:
     def state_capture(self) -> dict:
         config = self.config
         return {
+            **super().state_capture(),
             "base": config.base,
             "size": config.size,
             "budget_bytes": config.budget_bytes,
             "period_cycles": config.period_cycles,
-            "remaining": self.remaining,
-            "cycles_into_period": self.cycles_into_period,
-            "periods_elapsed": self.periods_elapsed,
         }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         # The config object is shared with the owning unit's runtime
         # config view, so it is mutated in place rather than replaced.
         config = self.config
@@ -122,6 +125,3 @@ class RegionState:
         config.size = state["size"]
         config.budget_bytes = state["budget_bytes"]
         config.period_cycles = state["period_cycles"]
-        self.remaining = state["remaining"]
-        self.cycles_into_period = state["cycles_into_period"]
-        self.periods_elapsed = state["periods_elapsed"]

@@ -37,6 +37,11 @@ from repro.sim.span import UNBOUNDED, SpanOffer, relay
 class RealmUnit(Component):
     """One per-manager real-time regulation and monitoring unit."""
 
+    _STATE_FIELDS = (
+        "_pending_reconfig", "_cycle", "_freeze_sig", "_freeze_counters",
+        "_freeze_delta", "_frozen_since", "_frozen_applied_through",
+    )
+
     def __init__(
         self,
         up: AxiBundle,
@@ -615,6 +620,7 @@ class RealmUnit(Component):
         the uninterrupted run would."""
         config = self.config
         return {
+            **super().state_capture(),
             "config": {
                 "granularity": config.granularity,
                 "splitter_enabled": config.splitter_enabled,
@@ -631,16 +637,10 @@ class RealmUnit(Component):
             "splitter": self.splitter.state_capture(),
             "write_buffer": self.write_buffer.state_capture(),
             "mr": self.mr.state_capture(),
-            "pending_reconfig": list(self._pending_reconfig),
-            "cycle": self._cycle,
-            "freeze_sig": self._freeze_sig,
-            "freeze_counters": self._freeze_counters,
-            "freeze_delta": self._freeze_delta,
-            "frozen_since": self._frozen_since,
-            "frozen_applied_through": self._frozen_applied_through,
         }
 
     def state_restore(self, state: dict) -> None:
+        super().state_restore(state)
         config_state = state["config"]
         config = self.config
         config.granularity = config_state["granularity"]
@@ -661,12 +661,3 @@ class RealmUnit(Component):
         # them obsolete, and the runtime view must share the restored
         # config objects exactly as a drained apply would have left it.
         self.config.regions = [r.config for r in self.mr.regions]
-        self._pending_reconfig = [
-            (kind, payload) for kind, payload in state["pending_reconfig"]
-        ]
-        self._cycle = state["cycle"]
-        self._freeze_sig = state["freeze_sig"]
-        self._freeze_counters = state["freeze_counters"]
-        self._freeze_delta = state["freeze_delta"]
-        self._frozen_since = state["frozen_since"]
-        self._frozen_applied_through = state["frozen_applied_through"]

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 from typing import Generic, Optional, TypeVar
 
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import SimulationError, Stateful
 
 T = TypeVar("T")
 
 
-class Wire(Generic[T]):
+class Wire(Stateful, Generic[T]):
     """One-slot, same-cycle handoff between pipeline stages."""
 
     __slots__ = ("name", "_item")
+    _STATE_FIELDS = ("_item",)
 
     def __init__(self, name: str = "wire") -> None:
         self.name = name
@@ -70,12 +71,6 @@ class Wire(Generic[T]):
     @property
     def occupancy(self) -> int:
         return 0 if self._item is None else 1
-
-    def state_capture(self) -> dict:
-        return {"item": self._item}
-
-    def state_restore(self, state: dict) -> None:
-        self._item = state["item"]
 
 
 class WireBundle:

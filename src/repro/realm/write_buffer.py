@@ -18,10 +18,16 @@ from collections import deque
 from typing import Optional
 
 from repro.axi.beats import AWBeat, WBeat
+from repro.sim.kernel import Stateful
 
 
-class WriteBufferStage:
+class WriteBufferStage(Stateful):
     """Third stage of the REALM unit pipeline."""
+
+    _STATE_FIELDS = (
+        "enabled", "_aw_q", "_w_q", "_complete_bursts", "_forwarding",
+        "_aw_forwarded", "bursts_forwarded", "peak_occupancy",
+    )
 
     def __init__(
         self,
@@ -116,29 +122,3 @@ class WriteBufferStage:
                 self._complete_bursts -= 1
                 self._forwarding = None
                 self.bursts_forwarded += 1
-
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "aw_q": deque(self._aw_q),
-            "w_q": deque(self._w_q),
-            "complete_bursts": self._complete_bursts,
-            "forwarding": self._forwarding,
-            "aw_forwarded": self._aw_forwarded,
-            "bursts_forwarded": self.bursts_forwarded,
-            "peak_occupancy": self.peak_occupancy,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.enabled = state["enabled"]
-        self._aw_q = deque(state["aw_q"])
-        self._w_q = deque(state["w_q"])
-        self._complete_bursts = state["complete_bursts"]
-        self._forwarding = state["forwarding"]
-        self._aw_forwarded = state["aw_forwarded"]
-        self.bursts_forwarded = state["bursts_forwarded"]
-        self.peak_occupancy = state["peak_occupancy"]

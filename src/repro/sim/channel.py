@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Generic, Iterable, Optional, TypeVar
 
-from repro.sim.kernel import Component, SimulationError, Simulator
+from repro.sim.kernel import Component, SimulationError, Simulator, Stateful
 
 T = TypeVar("T")
 
@@ -52,7 +52,7 @@ class _TracerFan:
             sink.on_recv(channel, item)
 
 
-class Channel(Generic[T]):
+class Channel(Stateful, Generic[T]):
     """Point-to-point, single-producer/single-consumer registered channel."""
 
     __slots__ = (
@@ -70,6 +70,7 @@ class Channel(Generic[T]):
         "_recv_listeners",
         "_send_listeners",
     )
+    _STATE_FIELDS = ("_snapshot", "_sent_total", "_recv_total")
 
     def __init__(
         self,
@@ -295,20 +296,16 @@ class Channel(Generic[T]):
             # Folded through the capture cycle; restore re-marks there.
             busy += self._sim.cycle - self._busy_mark
         return {
+            **super().state_capture(),
             "queue": list(self._queue),
-            "snapshot": self._snapshot,
-            "sent_total": self._sent_total,
-            "recv_total": self._recv_total,
             "busy_cycles": busy,
         }
 
     def state_restore(self, state: dict) -> None:
         """Restore a capture; the simulator's clock must be restored first."""
+        super().state_restore(state)
         self._queue = deque(state["queue"])
         self._pending = []
-        self._snapshot = state["snapshot"]
-        self._sent_total = state["sent_total"]
-        self._recv_total = state["recv_total"]
         self._busy_cycles = state["busy_cycles"]
         self._busy_mark = self._sim.cycle
 

@@ -99,14 +99,66 @@ from typing import Callable, Optional
 from repro.sim.span import attempt_span
 
 
-class Component:
+class Stateful:
+    """Snapshot hooks that walk a class-level field table.
+
+    ``_STATE_FIELDS`` names the attributes a subclass's snapshot holds as
+    they are; each is captured under its name with leading underscores
+    stripped and assigned back on restore.  Neither side copies: the
+    capture is encoded at once and a restore decodes fresh objects
+    (DESIGN.md section 10).  A subclass whose state needs a transform —
+    a nested capture, a change of type, an in-place restore — overrides
+    the hooks and extends the table's entries through ``super()``.
+    """
+
+    __slots__ = ()
+    _STATE_FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        keys = [name.lstrip("_") for name in cls._STATE_FIELDS]
+        if len(set(keys)) != len(keys):
+            raise TypeError(
+                f"{cls.__name__}._STATE_FIELDS names collide once leading "
+                f"underscores are stripped: {cls._STATE_FIELDS}"
+            )
+
+    def state_capture(self) -> dict:
+        """Everything this object's simulated behaviour reads or writes,
+        as a dict of primitives, containers, and codec-registered
+        objects.
+
+        Called at commit boundaries by
+        :func:`repro.snapshot.capture_simulator`.  A component that
+        installed :class:`~repro.sim.channel.ExpressRoute` orders must
+        describe them here and re-install them in :meth:`state_restore`.
+        """
+        return {
+            name.lstrip("_"): getattr(self, name)
+            for name in self._STATE_FIELDS
+        }
+
+    def state_restore(self, state: dict) -> None:
+        """Restore a :meth:`state_capture` dict into this object.
+
+        Runs on a freshly built (never ticked) object of the same
+        declaration, or in place over an already-run one.  Must not
+        schedule wake-ups: the kernel's active set and wake queue are
+        restored wholesale afterwards.
+        """
+        for name in self._STATE_FIELDS:
+            setattr(self, name, state[name.lstrip("_")])
+
+
+class Component(Stateful):
     """Base class for everything that is evaluated once per clock cycle.
 
     Subclasses implement :meth:`tick`.  A component is registered with a
     :class:`Simulator` either by passing the simulator to
     :meth:`Simulator.add` or by constructing it through helper factories
-    that do so internally.  A stateful subclass also implements
-    :meth:`state_capture` and :meth:`state_restore`: restoring a capture
+    that do so internally.  A stateful subclass declares its snapshot
+    fields once, in ``_STATE_FIELDS`` (:class:`Stateful`), and overrides
+    the hooks only for fields that need a transform: restoring a capture
     is the only way to rewind it.
     """
 
@@ -166,30 +218,6 @@ class Component:
         """(Re-)insert this component into its simulator's active set."""
         if self._sim is not None:
             self._sim.wake(self)
-
-    # ------------------------------------------------------------------
-    # snapshot contract
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        """Everything this component's ``tick`` reads or writes, as a
-        dict of primitives, containers, and codec-registered objects.
-
-        Called at commit boundaries by :func:`repro.snapshot.capture_simulator`.
-        A component that installed :class:`~repro.sim.channel.ExpressRoute`
-        orders must describe them here and re-install them in
-        :meth:`state_restore`.  The default covers stateless components;
-        stateful subclasses override both hooks (DESIGN.md section 10).
-        """
-        return {}
-
-    def state_restore(self, state: dict) -> None:
-        """Restore a :meth:`state_capture` dict into this component.
-
-        Runs on a freshly built (never ticked) component of the same
-        declaration, or in place over an already-run one.  Must not
-        schedule wake-ups: the kernel's active set and wake queue are
-        restored wholesale afterwards.
-        """
 
     def wake_at(self, cycle: int) -> None:
         """Schedule a wake-up at *cycle* (no-op if not yet registered)."""

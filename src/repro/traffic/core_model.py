@@ -25,6 +25,11 @@ from repro.traffic.patterns import MemoryTrace, TraceOp
 class CoreModel(Component):
     """Latency-sensitive trace executor."""
 
+    _STATE_FIELDS = (
+        "_index", "_state", "_gap_left", "_napping", "_w_sent",
+        "_issue_cycle", "_start_cycle", "latencies", "finish_cycle",
+    )
+
     def __init__(
         self,
         port: AxiBundle,
@@ -190,27 +195,8 @@ class CoreModel(Component):
     # snapshot contract (the trace itself is rebuilt from its spec)
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
-        return {
-            "index": self._index,
-            "state": self._state,
-            "gap_left": self._gap_left,
-            "napping": self._napping,
-            "w_sent": self._w_sent,
-            "issue_cycle": self._issue_cycle,
-            "start_cycle": self._start_cycle,
-            "latencies": list(self.latencies),
-            "finish_cycle": self.finish_cycle,
-            "txn_next": self._txns._next,
-        }
+        return {**super().state_capture(), "txn_next": self._txns._next}
 
     def state_restore(self, state: dict) -> None:
-        self._index = state["index"]
-        self._state = state["state"]
-        self._gap_left = state["gap_left"]
-        self._napping = state["napping"]
-        self._w_sent = state["w_sent"]
-        self._issue_cycle = state["issue_cycle"]
-        self._start_cycle = state["start_cycle"]
-        self.latencies = list(state["latencies"])
-        self.finish_cycle = state["finish_cycle"]
+        super().state_restore(state)
         self._txns._next = state["txn_next"]

@@ -23,6 +23,14 @@ from repro.sim.span import UNBOUNDED, SpanOffer, consume, produce
 class DmaEngine(Component):
     """Continuous double-buffered mover between two address windows."""
 
+    # The snapshot includes the runtime-knob-writable settings.
+    _STATE_FIELDS = (
+        "enabled", "inter_burst_gap", "_rd_offset", "_rd_inflight",
+        "_rd_gap", "_full_buffers", "_wr_offset", "_wr_active",
+        "_wr_aw_sent", "_wr_beats_sent", "_wr_gap", "bytes_read",
+        "bytes_written", "read_bursts", "write_bursts",
+    )
+
     def __init__(
         self,
         port: AxiBundle,
@@ -242,42 +250,3 @@ class DmaEngine(Component):
 
     def _drain_b(self) -> None:
         self.port.b.recv_up_to()
-
-    # ------------------------------------------------------------------
-    # snapshot contract (includes the runtime-knob-writable settings)
-    # ------------------------------------------------------------------
-    def state_capture(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "inter_burst_gap": self.inter_burst_gap,
-            "rd_offset": self._rd_offset,
-            "rd_inflight": self._rd_inflight,
-            "rd_gap": self._rd_gap,
-            "full_buffers": deque(self._full_buffers),
-            "wr_offset": self._wr_offset,
-            "wr_active": self._wr_active,
-            "wr_aw_sent": self._wr_aw_sent,
-            "wr_beats_sent": self._wr_beats_sent,
-            "wr_gap": self._wr_gap,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "read_bursts": self.read_bursts,
-            "write_bursts": self.write_bursts,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.enabled = state["enabled"]
-        self.inter_burst_gap = state["inter_burst_gap"]
-        self._rd_offset = state["rd_offset"]
-        self._rd_inflight = state["rd_inflight"]
-        self._rd_gap = state["rd_gap"]
-        self._full_buffers = deque(state["full_buffers"])
-        self._wr_offset = state["wr_offset"]
-        self._wr_active = state["wr_active"]
-        self._wr_aw_sent = state["wr_aw_sent"]
-        self._wr_beats_sent = state["wr_beats_sent"]
-        self._wr_gap = state["wr_gap"]
-        self.bytes_read = state["bytes_read"]
-        self.bytes_written = state["bytes_written"]
-        self.read_bursts = state["read_bursts"]
-        self.write_bursts = state["write_bursts"]

@@ -53,6 +53,11 @@ class Op:
 class ManagerDriver(Component):
     """Blocking scripted manager: one outstanding transaction at a time."""
 
+    _STATE_FIELDS = (
+        "_queue", "_current", "_aw_sent", "_w_index", "_r_parts", "_resp",
+        "_got_b", "completed", "_cycle",
+    )
+
     def __init__(
         self,
         port: AxiBundle,
@@ -164,29 +169,10 @@ class ManagerDriver(Component):
     # snapshot contract
     # ------------------------------------------------------------------
     def state_capture(self) -> dict:
-        return {
-            "queue": deque(self._queue),
-            "current": self._current,
-            "aw_sent": self._aw_sent,
-            "w_index": self._w_index,
-            "r_parts": list(self._r_parts),
-            "resp": self._resp,
-            "got_b": self._got_b,
-            "completed": list(self.completed),
-            "cycle": self._cycle,
-            "txn_next": self._txns._next,
-        }
+        return {**super().state_capture(), "txn_next": self._txns._next}
 
     def state_restore(self, state: dict) -> None:
-        self._queue = deque(state["queue"])
-        self._current = state["current"]
-        self._aw_sent = state["aw_sent"]
-        self._w_index = state["w_index"]
-        self._r_parts = list(state["r_parts"])
-        self._resp = state["resp"]
-        self._got_b = state["got_b"]
-        self.completed = list(state["completed"])
-        self._cycle = state["cycle"]
+        super().state_restore(state)
         self._txns._next = state["txn_next"]
 
     # ------------------------------------------------------------------

@@ -22,6 +22,8 @@ from repro.sim.kernel import Component
 class StallingWriter(Component):
     """Reserves the W channel with an AW and never sends the data."""
 
+    _STATE_FIELDS = ("repeat", "aws_sent")
+
     def __init__(
         self,
         port: AxiBundle,
@@ -53,16 +55,14 @@ class StallingWriter(Component):
         wants_aw = (self.aws_sent == 0 or self.repeat) and self.port.aw.can_send()
         return not wants_aw and not self.port.b.can_recv()
 
-    def state_capture(self) -> dict:
-        return {"repeat": self.repeat, "aws_sent": self.aws_sent}
-
-    def state_restore(self, state: dict) -> None:
-        self.repeat = state["repeat"]
-        self.aws_sent = state["aws_sent"]
-
 
 class BandwidthHog(Component):
     """Back-to-back maximum-length read bursts against one subordinate."""
+
+    _STATE_FIELDS = (
+        "enabled", "max_outstanding", "_offset", "_outstanding",
+        "bytes_stolen",
+    )
 
     def __init__(
         self,
@@ -124,25 +124,13 @@ class BandwidthHog(Component):
         )
         return not wants_ar and not self.port.r.can_recv()
 
-    def state_capture(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "max_outstanding": self.max_outstanding,
-            "offset": self._offset,
-            "outstanding": self._outstanding,
-            "bytes_stolen": self.bytes_stolen,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.enabled = state["enabled"]
-        self.max_outstanding = state["max_outstanding"]
-        self._offset = state["offset"]
-        self._outstanding = state["outstanding"]
-        self.bytes_stolen = state["bytes_stolen"]
-
 
 class TricklingWriter(Component):
     """Write bursts whose data arrives one beat every *gap* cycles."""
+
+    _STATE_FIELDS = (
+        "gap", "_aw_sent", "_w_sent", "_next_w", "bursts_completed",
+    )
 
     def __init__(
         self,
@@ -210,19 +198,3 @@ class TricklingWriter(Component):
                 return True
             return not port.w.can_send()
         return True  # all data sent; the B response wakes us
-
-    def state_capture(self) -> dict:
-        return {
-            "gap": self.gap,
-            "aw_sent": self._aw_sent,
-            "w_sent": self._w_sent,
-            "next_w": self._next_w,
-            "bursts_completed": self.bursts_completed,
-        }
-
-    def state_restore(self, state: dict) -> None:
-        self.gap = state["gap"]
-        self._aw_sent = state["aw_sent"]
-        self._w_sent = state["w_sent"]
-        self._next_w = state["next_w"]
-        self.bursts_completed = state["bursts_completed"]

@@ -1,5 +1,7 @@
 # repro: lint-treat-as realm/fixture.py
-"""snapshot-coverage fixture: four distinct violation shapes."""
+"""snapshot-coverage fixture: seven distinct violation shapes."""
+
+from repro.sim.kernel import Stateful
 
 
 class MissingCapture:
@@ -52,3 +54,40 @@ class RestoreOnlyAttr:
     def state_restore(self, state: dict) -> None:
         self.count = state["count"]
         self.level = 0
+
+
+class TableMissesAttr(Stateful):
+    """Takes part through its table alone, which leaves out `backlog`."""
+
+    _STATE_FIELDS = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.backlog = []
+
+
+class WrittenOutsideInit:
+    """`limit` starts as configuration, but a method writes it."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.count = 0
+
+    def set_limit(self, limit: int) -> None:
+        self.limit = limit
+
+    def state_capture(self) -> dict:
+        return {"count": self.count}
+
+    def state_restore(self, state: dict) -> None:
+        self.count = state["count"]
+
+
+class InheritsEmptyTable(Stateful):
+    """Declares no table, so the shared hooks capture nothing."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def bump(self) -> None:
+        self.count += 1

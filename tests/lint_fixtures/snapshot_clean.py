@@ -1,5 +1,7 @@
 # repro: lint-treat-as realm/fixture.py
-"""snapshot-coverage fixture: fully covered state, both idioms."""
+"""snapshot-coverage fixture: fully covered state, every idiom."""
+
+from repro.sim.kernel import Stateful
 
 
 class Covered:
@@ -31,3 +33,22 @@ class NameTable:
     def state_restore(self, state: dict) -> None:
         for name in self._STATE_FIELDS:
             setattr(self, name, state[name])
+
+
+class TableOnly(Stateful):
+    """A class-level _STATE_FIELDS table is the capture and the restore:
+    the class takes part with no tick and no hook of its own."""
+
+    _STATE_FIELDS = ("_queue", "served", "limit")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit          # config, but a knob writes it below
+        self._queue = []
+        self.served = 0
+
+    def set_limit(self, limit: int) -> None:
+        self.limit = limit
+
+    def serve(self) -> None:
+        self._queue.pop(0)
+        self.served += 1

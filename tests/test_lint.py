@@ -7,8 +7,9 @@ Four layers of coverage:
 * clean and suppressed fixtures lint to zero findings;
 * the tier-1 meta-test: ``repro lint src/repro`` reports zero findings
   (the CI gate, run in-process);
-* the mutation acceptance test: deleting any one ``state_capture`` key
-  from ``RealmUnit`` makes snapshot-coverage fail.
+* the mutation acceptance test: deleting any one ``_STATE_FIELDS`` name
+  or ``state_capture`` key from ``RealmUnit`` makes snapshot-coverage
+  fail.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ def lint_fixture(name: str):
 # ----------------------------------------------------------------------
 GOLDEN = {
     "snapshot_bad.py": [
-        ("snapshot-coverage", 5),    # MissingCapture: no state_capture
-        ("snapshot-coverage", 21),   # UncoveredAttr.dropped
-        ("snapshot-coverage", 39),   # emits 'extra', never consumed
-        ("snapshot-coverage", 39),   # consumes 'phantom', never emitted
-        ("snapshot-coverage", 54),   # RestoreOnlyAttr.level
+        ("snapshot-coverage", 7),    # MissingCapture: no state_capture
+        ("snapshot-coverage", 23),   # UncoveredAttr.dropped
+        ("snapshot-coverage", 41),   # emits 'extra', never consumed
+        ("snapshot-coverage", 41),   # consumes 'phantom', never emitted
+        ("snapshot-coverage", 56),   # RestoreOnlyAttr.level
+        ("snapshot-coverage", 66),   # TableMissesAttr.backlog
+        ("snapshot-coverage", 73),   # WrittenOutsideInit.limit
+        ("snapshot-coverage", 90),   # InheritsEmptyTable.count
     ],
     "codec_bad.py": [
         ("codec-registration", 17),  # Scratchpad(...) unregistered
@@ -166,14 +170,24 @@ def test_repro_src_lints_clean():
 
 
 # ----------------------------------------------------------------------
-# mutation acceptance: every RealmUnit state_capture key is load-bearing
+# mutation acceptance: every RealmUnit snapshot field is load-bearing
 # ----------------------------------------------------------------------
-def _realm_unit_capture_entries():
+def _realm_unit_snapshot_entries():
+    """``RealmUnit``'s ``_STATE_FIELDS`` names, the keys of the dict its
+    ``state_capture`` returns, and ``(key, deleted, mutated source)``
+    for each: a table name deleted from the table, or a dict entry
+    deleted from the dict."""
     source = (SRC / "realm" / "unit.py").read_text(encoding="utf-8")
+    lines = source.splitlines(keepends=True)
     tree = ast.parse(source)
     unit = next(
         node for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and node.name == "RealmUnit"
+    )
+    table = next(
+        stmt.value for stmt in unit.body
+        if isinstance(stmt, ast.Assign)
+        and [t.id for t in stmt.targets] == ["_STATE_FIELDS"]
     )
     capture = next(
         stmt for stmt in unit.body
@@ -184,31 +198,45 @@ def _realm_unit_capture_entries():
         node.value for node in ast.walk(capture)
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
     )
-    return source, [
-        (key.value, key.lineno, value.end_lineno)
-        for key, value in zip(returned.keys, returned.values)
-    ]
+    entries = []
+    for name in table.elts:
+        line = lines[name.lineno - 1]
+        rest = line[name.end_col_offset:].removeprefix(",").lstrip(" ")
+        mutated = lines[:name.lineno - 1] + [line[:name.col_offset] + rest]
+        entries.append((name.value.lstrip("_"), name.value,
+                        "".join(mutated + lines[name.lineno:])))
+    for key, value in zip(returned.keys, returned.values):
+        if key is None:  # **super().state_capture(): the table above
+            continue
+        entries.append((key.value, key.value, "".join(
+            lines[:key.lineno - 1] + lines[value.end_lineno:]
+        )))
+    keys = [key.value for key in returned.keys if key is not None]
+    return [name.value for name in table.elts], keys, entries
 
 
-_SOURCE, _ENTRIES = _realm_unit_capture_entries()
+_TABLE, _KEYS, _ENTRIES = _realm_unit_snapshot_entries()
 
 
-@pytest.mark.parametrize("key,start,end", _ENTRIES,
+@pytest.mark.parametrize("key,deleted,mutated", _ENTRIES,
                          ids=[e[0] for e in _ENTRIES])
-def test_deleting_any_realm_unit_capture_key_fails_lint(key, start, end):
-    lines = _SOURCE.splitlines(keepends=True)
-    mutated = "".join(lines[:start - 1] + lines[end:])
+def test_deleting_any_realm_unit_capture_key_fails_lint(key, deleted, mutated):
     findings = lint_source(mutated, [SnapshotCoverageRule()],
                            filename="realm/unit.py", subpath="realm/unit.py")
     hits = [f for f in findings
-            if f.rule == "snapshot-coverage" and key in f.message]
-    assert hits, f"deleting capture key {key!r} went undetected"
+            if f.rule == "snapshot-coverage"
+            and (f"RealmUnit.{deleted} " in f.message
+                 or repr(deleted) in f.message)]
+    assert hits, f"deleting {deleted!r} went undetected"
 
 
 def test_realm_unit_capture_has_expected_shape():
-    keys = [entry[0] for entry in _ENTRIES]
+    """The table holds the unit's own fields, the hand-written capture
+    its nested and in-place ones, and no key is emitted twice."""
+    keys = [name.lstrip("_") for name in _TABLE] + _KEYS
     assert len(keys) == len(set(keys))
-    assert "cycle" in keys and "mr" in keys
+    assert "_cycle" in _TABLE and "_pending_reconfig" in _TABLE
+    assert "mr" in _KEYS and "config" in _KEYS
 
 
 # ----------------------------------------------------------------------

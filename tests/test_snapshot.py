@@ -195,6 +195,34 @@ def test_checkpointed_runs_match_goldens(scenario_path, active_set, batched):
     assert digest == golden
 
 
+@pytest.mark.parametrize(
+    "scenario_path", sorted(SCENARIO_DIR.glob("*.toml")),
+    ids=lambda path: path.stem,
+)
+def test_capture_is_a_function_of_state(scenario_path):
+    """A run restored from its own cycle-700 capture captures at cycle
+    1,500 exactly what the uninterrupted run captures there: nothing
+    execution-side (such as the schedule's arm counter) leaks into a
+    checkpoint, and every stateful class round-trips its fields."""
+    point = expand(apply_smoke(load_file(scenario_path)))[-1]
+    straight, _ = _elaborate_point(point)
+    straight.sim.run(1500)
+    paused, _ = _elaborate_point(point)
+    paused.sim.run(700)
+    resumed, _ = _elaborate_point(point)
+    resumed.restore(capture_simulator(paused.sim))
+    resumed.sim.run(800)
+    assert capture_simulator(resumed.sim) == capture_simulator(straight.sim)
+
+
+def test_state_fields_must_not_collide_once_stripped():
+    from repro.sim.kernel import Stateful
+
+    with pytest.raises(TypeError, match="collide"):
+        class Twice(Stateful):
+            _STATE_FIELDS = ("_count", "count")
+
+
 # ----------------------------------------------------------------------
 # targeted cuts: mid-ExpressRoute, pending intrusive reconfiguration
 # ----------------------------------------------------------------------
