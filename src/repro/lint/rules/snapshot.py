@@ -321,11 +321,15 @@ class SnapshotCoverageRule(Rule):
                     f"_STATE_FIELDS nor read in state_capture",
                 ))
 
+        table_keys = {name.lstrip("_") for name in table or ()}
+        produced = _capture_keys(capture) if capture is not None else set()
+        for key in sorted((produced or set()) & table_keys):
+            findings.append(Finding(
+                path, capture.lineno, capture.col_offset, self.id,
+                f"{cls.name}.state_capture emits key {key!r} that "
+                f"_STATE_FIELDS already captures",
+            ))
         if restore is not None:
-            table_keys = {name.lstrip("_") for name in table or ()}
-            produced = (
-                _capture_keys(capture) if capture is not None else set()
-            )
             consumed = _restore_keys(restore)
             if produced is not None and consumed is not None:
                 produced |= table_keys

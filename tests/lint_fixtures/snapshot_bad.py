@@ -1,5 +1,5 @@
 # repro: lint-treat-as realm/fixture.py
-"""snapshot-coverage fixture: seven distinct violation shapes."""
+"""snapshot-coverage fixture: eight distinct violation shapes."""
 
 from repro.sim.kernel import Stateful
 
@@ -91,3 +91,18 @@ class InheritsEmptyTable(Stateful):
 
     def bump(self) -> None:
         self.count += 1
+
+
+class KeyTwice(Stateful):
+    """Its capture emits 'count' again, overwriting the table's entry."""
+
+    _STATE_FIELDS = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def state_capture(self) -> dict:
+        return {**super().state_capture(), "count": 0}
+
+    def state_restore(self, state: dict) -> None:
+        super().state_restore(state)

@@ -48,6 +48,7 @@ GOLDEN = {
         ("snapshot-coverage", 66),   # TableMissesAttr.backlog
         ("snapshot-coverage", 73),   # WrittenOutsideInit.limit
         ("snapshot-coverage", 90),   # InheritsEmptyTable.count
+        ("snapshot-coverage", 104),  # KeyTwice emits a table key again
     ],
     "codec_bad.py": [
         ("codec-registration", 17),  # Scratchpad(...) unregistered
