@@ -131,7 +131,7 @@ def _assigned_attrs(
     return out
 
 
-def state_evidence(cls: ast.ClassDef) -> dict[str, int]:
+def _state_evidence(cls: ast.ClassDef) -> dict[str, int]:
     """The class's mutable-state attributes -> the line a finding about
     each is reported at (its ``__init__`` assignment when it has one,
     where a suppression belongs)."""
@@ -151,7 +151,7 @@ def state_evidence(cls: ast.ClassDef) -> dict[str, int]:
     }
 
 
-def state_table(cls: ast.ClassDef) -> Optional[list[str]]:
+def _state_table(cls: ast.ClassDef) -> Optional[list[str]]:
     """The names of a class-level ``_STATE_FIELDS`` tuple of string
     constants; the inherited empty table of a direct ``Stateful``
     subclass that declares none; else None."""
@@ -281,11 +281,11 @@ class SnapshotCoverageRule(Rule):
         tick = methods.get("tick")
         capture = methods.get("state_capture")
         restore = methods.get("state_restore")
-        table = state_table(cls)
+        table = _state_table(cls)
         if not (tick or capture or restore or table is not None):
             return []  # not a snapshot participant
 
-        mutable = state_evidence(cls)
+        mutable = _state_evidence(cls)
         findings: list[Finding] = []
         path = module.path
         if capture is None and table is None:
