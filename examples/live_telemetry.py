@@ -75,10 +75,15 @@ def main() -> None:
     print(f"telemetry on {host}:{port}; streaming {HORIZON} cycles\n")
 
     with server.live_point(system, label="demo",
-                           default_watch=(PATTERNS, 200, None)):
-        runner = threading.Thread(
-            target=lambda: system.sim.run(HORIZON), name="sim"
-        )
+                           default_watch=(PATTERNS, 200, None)) as session:
+
+        def simulate() -> None:
+            # Start only once the client's pause request is queued: a
+            # run started first can pass PAUSE_AT before it lands.
+            if session.wait_for_command(timeout=10.0):
+                system.sim.run(HORIZON)
+
+        runner = threading.Thread(target=simulate, name="sim")
         runner.start()
 
         with TelemetryClient(host, port) as client:

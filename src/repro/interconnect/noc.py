@@ -67,11 +67,9 @@ class _Router(Stateful):
         self.held = 0  # repro: lint-ok[snapshot-coverage] derived from inputs and staged, recounted by state_restore
         # Batched-datapath tables, filled once by _MeshNetwork: the input
         # queues in DIRECTIONS order (state_restore refills them in
-        # place), the XY route (dest -> output index) and the links
-        # (output, neighbour, neighbour's input queue, neighbour node).
+        # place) and the XY route (dest -> output index).
         self._queues = [self.inputs[d] for d in self.DIRECTIONS]  # repro: lint-ok[snapshot-coverage] aliases of inputs, immutable after build
         self._route: dict[tuple[int, int], int] = {}  # repro: lint-ok[snapshot-coverage] topology table, immutable after build
-        self._links: tuple = ()  # repro: lint-ok[snapshot-coverage] topology table, immutable after build
 
     def can_accept(self, direction: str) -> bool:
         return len(self.inputs[direction]) < self.depth
@@ -213,6 +211,11 @@ class _MeshNetwork(Stateful):
         # Coordinates of routers that may hold flits (batched datapath);
         # a superset of the truly busy ones, pruned during step().
         self._active: set[tuple[int, int]] = set()
+        # Per node: the router and its links (output, neighbour,
+        # neighbour's input queue, neighbour node).  The mesh owns the
+        # table so no router points at another: a finished mesh is
+        # freed by reference counting, with no cycle to collect.
+        self._links: dict[tuple[int, int], tuple] = {}  # repro: lint-ok[snapshot-coverage] topology table, immutable after build
         for router in self.routers.values():
             self._wire(router)
 
@@ -226,7 +229,7 @@ class _MeshNetwork(Stateful):
             if neighbor is not None:
                 queue = neighbor.inputs[self._OPPOSITE[out]]
                 links.append((out, neighbor, queue, node))
-        router._links = tuple(links)
+        self._links[router.x, router.y] = (router, tuple(links))
         linked = {"local"} | {link[0] for link in links}
         for dest in self.routers:
             out = router._output_for(Flit(dest, "route", None, dest))
@@ -285,14 +288,14 @@ class _MeshNetwork(Stateful):
         active = self._active
         if not active:
             return
-        routers = self.routers
-        visit = [routers[node] for node in active]
-        for router in visit:
+        table = self._links
+        visit = [table[node] for node in active]
+        for router, _ in visit:
             if router.held:
                 router.route_batched()
-        for router in visit:
+        for router, links in visit:
             staged = router.staged
-            for out, neighbor, queue, node in router._links:
+            for out, neighbor, queue, node in links:
                 flit = staged[out]
                 if flit is not None and len(queue) < neighbor.depth:
                     queue.append(flit)

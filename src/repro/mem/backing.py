@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import mmap
+
 
 class BackingStore:
-    """A bytearray-backed memory window ``[base, base + size)``.
+    """A memory window ``[base, base + size)`` backed by anonymous pages.
+
+    The buffer is a private anonymous ``mmap``: creating it costs the
+    same for any size, it reads as zeros, and a page takes host memory
+    only once something is written to it, so a point pays for the data
+    it moves rather than for its address window (DESIGN.md section 16).
 
     Accesses outside the window raise; the memory models translate this
     into SLVERR responses so a model bug cannot silently corrupt data.
@@ -15,7 +22,7 @@ class BackingStore:
             raise ValueError("backing store size must be positive")
         self.base = base
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     def _offset(self, addr: int, nbytes: int) -> int:
         off = addr - self.base
@@ -28,7 +35,7 @@ class BackingStore:
 
     def read(self, addr: int, nbytes: int) -> bytes:
         off = self._offset(addr, nbytes)
-        return bytes(self._data[off : off + nbytes])
+        return self._data[off : off + nbytes]
 
     def write(self, addr: int, data: bytes, strb: int = -1) -> None:
         """Write *data*; *strb* = -1 enables all byte lanes."""
@@ -63,4 +70,10 @@ class BackingStore:
             raise ValueError(
                 f"backing store size mismatch: {len(data)} != {self.size}"
             )
-        self._data[:] = data
+        # Page by page, writing only pages that differ: restoring into a
+        # fresh store leaves the capture's all-zero pages untouched.
+        store, step = self._data, mmap.PAGESIZE
+        for off in range(0, self.size, step):
+            page = data[off : off + step]
+            if store[off : off + step] != page:
+                store[off : off + step] = page

@@ -617,6 +617,10 @@ def run_point(
     checkpoint the machine.  Telemetry is an execution-side tap —
     with or without it, attached or not, every observable and golden
     digest is byte-identical (DESIGN.md section 12).
+
+    The point's system is released
+    (:meth:`~repro.sim.kernel.Simulator.release`) once the result is
+    taken, so reference counting frees it on return.
     """
     spec = point.spec
     system, generators = _elaborate_point(
@@ -675,7 +679,7 @@ def run_point(
         for binding in spec.traffic
         if binding.kind == "core" and binding.manager in generators
     }
-    return PointResult(
+    result = PointResult(
         label=point.label,
         index=point.index,
         seed=point.seed,
@@ -692,6 +696,8 @@ def run_point(
         ),
         trace=recorder.trace_dump() if recorder is not None else None,
     )
+    system.sim.release()
+    return result
 
 
 def _span_units(system: System) -> dict:
@@ -746,7 +752,8 @@ def _run_prefix(
     immediately, exactly like their scratch runs would).
     *resume_state* continues from a previously captured ancestor
     snapshot, so an interior fork-tree edge simulates only the cycles
-    between its parent's snapshot and its own.
+    between its parent's snapshot and its own.  The prefix system is
+    released once its snapshot is taken.
     """
     from repro.snapshot import capture_simulator
 
@@ -756,7 +763,10 @@ def _run_prefix(
     _restore_and_run(
         system, point, generators, resume_state, "fork", stop_at=fork_cycle
     )
-    return capture_simulator(system.sim), system.sim.cycle
+    sim = system.sim
+    state, cycle = capture_simulator(sim), sim.cycle
+    sim.release()
+    return state, cycle
 
 
 def _run_tree(

@@ -419,6 +419,24 @@ class Simulator:
             _, source = load_checkpoint(source)
         restore_simulator(self, source)
 
+    def release(self) -> None:
+        """Free this finished system by reference counting.
+
+        A built system is reference-cyclic: components point at the
+        simulator that lists them and at channels that list them back,
+        and some at parts that point back at them (a REALM splitter's
+        ``config`` is its unit; the crossbar's express orders call back
+        into it).  A cycle survives until a full collection, which a
+        campaign rarely triggers, so a finished point would stay
+        resident.  Clearing the attributes of the simulator, of every
+        component and of every state client breaks each such cycle: the
+        system is freed the moment its last outside reference goes.
+        None of them may be used afterwards.
+        """
+        for owner in (*self._components, *self._state_clients.values()):
+            vars(owner).clear()
+        vars(self).clear()
+
     # ------------------------------------------------------------------
     # active-set bookkeeping
     # ------------------------------------------------------------------

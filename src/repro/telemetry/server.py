@@ -347,6 +347,17 @@ class _LiveSession:
     def wake(self) -> None:
         self._wake.set()
 
+    def wait_for_command(self, timeout: float) -> bool:
+        """Block until a client command is queued (True) or *timeout*
+        seconds pass (False).  A run started before, say, a client's
+        ``pause(at=C)`` is queued can pass cycle C first; starting the
+        run after this returns True closes that window."""
+        deadline = perf_counter() + timeout
+        while not self._inbox and perf_counter() < deadline:
+            self._wake.wait(deadline - perf_counter())
+            self._wake.clear()
+        return bool(self._inbox)
+
     # ------------------------------------------------------------------
     # sim-thread machinery
     # ------------------------------------------------------------------
