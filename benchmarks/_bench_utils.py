@@ -8,10 +8,9 @@ every conftest under the same module name).
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
-# One shared experiment configuration so every figure uses the same
-# workload, as in the paper.
-N_ACCESSES = 100
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # The idle-heavy period-sweep workload: a duty-cycled core (compute gaps
 # between accesses) against a budget-throttled DMA at a constant share.
@@ -26,34 +25,44 @@ SWEEP_N_ACCESSES = 100
 def run_period_sweep(active_set: bool):
     """Run the idle-heavy period sweep on the chosen kernel.
 
+    The campaign is ``scenarios/fig6a.toml`` with a duty-cycled core:
+    its core-alone baseline point, then one fragmentation-1 point per
+    period in place of the fragmentation sweep.
+
     Returns ``(rows, simulated_cycles, wall_seconds)``; rows are
     ``(period, dma_budget, perf_percent, worst_latency, mean_latency)``.
     """
-    from repro.analysis import ContentionExperiment
+    from repro.scenario import load_file, run_campaign, validate
 
     t0 = time.perf_counter()
-    exp = ContentionExperiment(
-        n_accesses=SWEEP_N_ACCESSES,
-        gap_mean=SWEEP_GAP_MEAN,
-        active_set=active_set,
+    tree = load_file(SCENARIO_DIR / "fig6a.toml").to_dict()
+    tree["traffic"]["core"].update(
+        n_accesses=SWEEP_N_ACCESSES, gap_mean=SWEEP_GAP_MEAN
     )
-    base = exp.run_single_source()
-    cycles = base.sim_cycles
+    campaign = tree["campaign"]
+    campaign["points"] = [
+        point for point in campaign["points"]
+        if point["label"] == campaign["baseline"]
+    ]
+    campaign["sweep"] = []
+    budgets = [int(8 * period * SWEEP_DMA_SHARE)  # bytes per period
+               for period in SWEEP_PERIODS]
+    for period, budget in zip(SWEEP_PERIODS, budgets):
+        campaign["points"].append({"label": f"period={period}", "set": {
+            "topology.managers.core.granularity": 1,
+            "topology.managers.dma.granularity": 1,
+            "topology.managers.core.regions.0.budget_bytes": 1 << 40,
+            "topology.managers.core.regions.0.period_cycles": period,
+            "topology.managers.dma.regions.0.budget_bytes": budget,
+            "topology.managers.dma.regions.0.period_cycles": period,
+        }})
+    result = run_campaign(validate(tree), active_set=active_set)
     rows = []
-    for period in SWEEP_PERIODS:
-        dma_budget = int(8 * period * SWEEP_DMA_SHARE)  # bytes per period
-        result = exp.run(
-            fragmentation=1,
-            core_budget=1 << 40,
-            dma_budget=dma_budget,
-            period=period,
-            label=f"period={period}",
-        )
-        cycles += result.sim_cycles
-        rows.append(
-            (period, dma_budget, result.perf_percent,
-             result.worst_case_latency, result.latency.mean)
-        )
+    for period, budget in zip(SWEEP_PERIODS, budgets):
+        point = result.point(f"period={period}")
+        rows.append((period, budget, point.perf_percent,
+                     point.worst_case_latency, point.latency.mean))
+    cycles = sum(point.sim_cycles for point in result.points)
     return rows, cycles, time.perf_counter() - t0
 
 

@@ -11,17 +11,21 @@ buys you:
 * **C&F**    — write forwarding only: DoS-proof but no fairness at all;
 * **REALM**  — splitting + budget + write buffer + monitoring.
 
-Each topology is one ``SystemBuilder`` declaration; baselines plug in via
-the ``regulator=`` factory hook.
+The contention rows are the points of ``scenarios/baseline_shootout.toml``
+(the same path ``python -m repro run`` exercises).  The stall-DoS runs
+script a victim's write mid-attack, which no scenario file declares, so
+each is one ``SystemBuilder`` declaration; baselines plug in via the
+``regulator=`` factory hook.
 """
 
 import pytest
 
-from _bench_utils import emit
+from _bench_utils import SCENARIO_DIR, emit
 from repro.baselines import AbeEqualizer, AbuRegulator, CutForwardUnit
 from repro.realm import RegionConfig
+from repro.scenario import expand, load_file, run_campaign, run_point
 from repro.system import SystemBuilder
-from repro.traffic import CoreModel, DmaEngine, StallingWriter, susan_like_trace
+from repro.traffic import StallingWriter
 
 MEM_SIZE = 0x40000
 DMA_BUDGET = 2048
@@ -52,25 +56,6 @@ def _add_regulated(builder, kind, name):
     return builder
 
 
-def _contention_run(kind, with_dma=True):
-    builder = SystemBuilder().with_crossbar().add_manager("core")
-    _add_regulated(builder, kind, "dma")
-    builder.add_sram("mem", base=0, size=MEM_SIZE, capacity=4)
-    system = builder.build()
-    trace = susan_like_trace(n_accesses=80, base=0, footprint=8192,
-                             beats=2, gap_mean=1)
-    core = system.attach("core", lambda port: CoreModel(port, trace))
-    if with_dma:
-        system.attach(
-            "dma",
-            lambda port: DmaEngine(port, src_base=0x2000, src_size=0x8000,
-                                   dst_base=0x10000, dst_size=0x8000,
-                                   burst_beats=256),
-        )
-    system.sim.run_until(lambda: core.done, max_cycles=1_000_000, what="core")
-    return core.execution_cycles, core.worst_case_latency
-
-
 def _dos_run(kind):
     builder = SystemBuilder()
     _add_regulated(builder, kind, "attacker")
@@ -91,20 +76,24 @@ REGULATORS = ("none", "abu", "abe", "cnf", "realm")
 
 
 @pytest.fixture(scope="module")
-def comparison_rows():
-    baseline_cycles, baseline_worst = _contention_run("none", with_dma=False)
+def shootout_spec():
+    return load_file(SCENARIO_DIR / "baseline_shootout.toml")
+
+
+@pytest.fixture(scope="module")
+def comparison_rows(shootout_spec):
+    shootout = run_campaign(shootout_spec)
     rows = []
     for kind in REGULATORS:
-        cycles, worst = _contention_run(kind)
-        perf = 100.0 * baseline_cycles / cycles
-        dos_survived = _dos_run(kind)
-        rows.append((kind, perf, worst, dos_survived))
+        point = shootout.point(kind)
+        rows.append((kind, point.perf_percent, point.worst_case_latency,
+                     _dos_run(kind)))
     return rows
 
 
-def test_baseline_comparison(benchmark, comparison_rows):
-    benchmark.pedantic(lambda: _contention_run("realm"), rounds=1,
-                       iterations=1)
+def test_baseline_comparison(benchmark, shootout_spec, comparison_rows):
+    realm = next(p for p in expand(shootout_spec) if p.label == "realm")
+    benchmark.pedantic(lambda: run_point(realm), rounds=1, iterations=1)
     lines = [
         f"{'regulator':<10} {'core perf [%]':>14} {'worst lat':>10} "
         f"{'survives stall DoS':>20}"

@@ -26,8 +26,9 @@ slow drift; the quads' drift-cancelled ``(v1+v2)/(b1+b2)`` ratios ride
 along in the payload as a second opinion.
 The smoke assertions bound the unconfigured overhead, the
 served-but-unwatched telemetry overhead, AND the recorder-attached
-overhead at <2 % each and append the datapoint to
-``BENCH_control.json``.
+overhead at <2 % each; the script appends the datapoint to
+``BENCH_control.json`` (the pytest entry point writes it under its
+``tmp_path``, leaving the tracked history alone).
 
 Run:  python benchmarks/bench_control_overhead.py [output.json]
 """
@@ -268,7 +269,7 @@ def measure_gated() -> dict:
     return payload
 
 
-def _append(path: str, payload: dict) -> None:
+def _append(path, payload: dict) -> None:
     history = []
     file = Path(path)
     if file.exists():
@@ -277,7 +278,7 @@ def _append(path: str, payload: dict) -> None:
     file.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
-def test_control_plane_hot_path_overhead():
+def test_control_plane_hot_path_overhead(tmp_path):
     payload = measure_gated()
     emit(
         "Control plane — hot-path overhead (streaming, no idle stretches)",
@@ -294,7 +295,7 @@ def test_control_plane_hot_path_overhead():
             f"({payload['sampled_overhead_percent']:+.2f} %)",
         ],
     )
-    _append("BENCH_control.json", payload)
+    _append(tmp_path / "BENCH_control.json", payload)
     assert payload["unconfigured_overhead_percent"] < OVERHEAD_LIMIT_PERCENT, (
         "unconfigured control plane taxes the tick hot path: "
         f"{payload['unconfigured_overhead_percent']:.2f}% "

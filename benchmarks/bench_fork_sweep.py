@@ -228,20 +228,20 @@ def _emit_grouped(payload: dict) -> None:
     ])
 
 
-def test_fork_sweep_datapoint():
+def test_fork_sweep_datapoint(tmp_path):
     payload = measure()
     _emit(payload)
-    _append("BENCH_snapshot.json", payload)
+    _append(tmp_path / "BENCH_snapshot.json", payload)
     assert payload["speedup"] >= MIN_SPEEDUP, (
         "fork-point execution no longer pays for itself: "
         f"{payload['speedup']:.2f}x < {MIN_SPEEDUP}x"
     )
 
 
-def test_grouped_fork_tree_datapoint():
+def test_grouped_fork_tree_datapoint(tmp_path):
     payload = measure_grouped()
     _emit_grouped(payload)
-    _append("BENCH_snapshot.json", payload)
+    _append(tmp_path / "BENCH_snapshot.json", payload)
     assert payload["speedup"] >= MIN_GROUPED_SPEEDUP, (
         "grouped fork-tree execution fell below its acceptance floor: "
         f"{payload['speedup']:.2f}x < {MIN_GROUPED_SPEEDUP}x"

@@ -110,10 +110,10 @@ def _emit(payload: dict) -> None:
     emit("Batched datapath — streaming throughput (smoke scale)", lines)
 
 
-def test_streaming_throughput_datapoint():
+def test_streaming_throughput_datapoint(tmp_path):
     payload = measure()
     _emit(payload)
-    _append("BENCH_datapath.json", payload)
+    _append(tmp_path / "BENCH_datapath.json", payload)
     assert payload["best_speedup"] >= MIN_BEST_SPEEDUP, (
         "batched datapath no longer pays for itself on streaming "
         f"scenarios: best speedup {payload['best_speedup']:.2f}x "

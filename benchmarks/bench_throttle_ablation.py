@@ -9,30 +9,33 @@ traffic is smoothed (its bytes arrive more evenly across the period).
 
 import pytest
 
-from _bench_utils import emit
-from repro.analysis import ContentionExperiment
+from _bench_utils import SCENARIO_DIR, emit
+from repro.scenario import apply_overrides, load_file, run_campaign
 
-PERIOD = 1000
 BUDGET = 2048  # 1/4 of link capacity: forces regulation to act
 
 
-def _run(throttle: bool):
-    exp = ContentionExperiment(n_accesses=80)
-    exp.run_single_source()
-    result = exp.run(
-        fragmentation=1,
-        core_budget=8192,
-        dma_budget=BUDGET,
-        period=PERIOD,
-        throttle=throttle,
-        label=f"throttle={throttle}",
-    )
-    return result
+@pytest.fixture(scope="module")
+def throttle_spec():
+    """``scenarios/fig6b.toml``'s ``dma=1/4`` point at 80 accesses, with
+    the throttle swept on both regulated units."""
+    return apply_overrides(load_file(SCENARIO_DIR / "fig6b.toml"), {
+        "traffic.core.n_accesses": 80,
+        "topology.managers.dma.regions.0.budget_bytes": BUDGET,
+        "campaign.sweep.0": {
+            "fields": ["topology.managers.core.throttle",
+                       "topology.managers.dma.throttle"],
+            "values": [False, True],
+            "labels": ["throttle off", "throttle on"],
+        },
+    })
 
 
-def test_throttle_ablation(benchmark):
-    off = _run(False)
-    on = benchmark.pedantic(lambda: _run(True), rounds=1, iterations=1)
+def test_throttle_ablation(benchmark, throttle_spec):
+    result = benchmark.pedantic(lambda: run_campaign(throttle_spec),
+                                rounds=1, iterations=1)
+    off = result.point("throttle off")
+    on = result.point("throttle on")
     emit(
         "Ablation — throttling unit on/off (DMA budget 2 KiB / 1000 cycles)",
         [

@@ -1,8 +1,9 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared set-up for the benchmark harness.
 
 Each ``bench_*.py`` regenerates one table or figure of the paper.  The
 pytest-benchmark plugin times the underlying simulation; the printed rows
-are the reproduction artefact (compare against EXPERIMENTS.md).
+are the reproduction artefact (compare against the paper's tables and
+figures; each bench asserts the trends they show).
 
 Importable helpers live in ``_bench_utils.py`` (a conftest must never be
 imported by name — it would shadow the test suite's conftest).
@@ -17,17 +18,4 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _bench_utils import N_ACCESSES  # noqa: E402
-
-from repro.analysis import ContentionExperiment  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def experiment():
-    exp = ContentionExperiment(n_accesses=N_ACCESSES)
-    exp.run_single_source()
-    return exp

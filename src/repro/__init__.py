@@ -8,14 +8,12 @@ the substrates its evaluation depends on (AXI4 protocol model, crossbar,
 LLC/DRAM/SPM memories, core and DMA traffic generators, baseline
 regulators, and the 12 nm area model).
 
-Quick start::
+Quick start (Figure 6a, from the shipped scenario file)::
 
-    from repro.analysis import ContentionExperiment
+    from repro.scenario import load_file, run_campaign
 
-    exp = ContentionExperiment()
-    baseline = exp.run_single_source()
-    contended = exp.run_without_reservation()
-    regulated = exp.run(fragmentation=1)
+    result = run_campaign(load_file("scenarios/fig6a.toml"))
+    regulated = result.point("frag=1")
     print(regulated.perf_percent, regulated.worst_case_latency)
 """
 

@@ -1,4 +1,4 @@
-"""Analysis: statistics, interference monitoring, experiment runners."""
+"""Analysis: statistics, interference monitoring, budget advice."""
 
 from repro.analysis.advisor import (
     AdvisorLoop,
@@ -6,7 +6,6 @@ from repro.analysis.advisor import (
     BudgetPlan,
     ManagerObservation,
 )
-from repro.analysis.experiment import ContentionExperiment, ContentionResult
 from repro.analysis.interference import (
     InterferenceMatrix,
     SystemInterferenceMonitor,
@@ -22,8 +21,6 @@ __all__ = [
     "AdvisorLoop",
     "BudgetAdvisor",
     "BudgetPlan",
-    "ContentionExperiment",
-    "ContentionResult",
     "ManagerObservation",
     "InterferenceMatrix",
     "LatencyStats",

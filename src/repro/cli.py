@@ -1,8 +1,13 @@
-"""Command-line interface: scenario campaigns and the paper's experiments.
+"""Command-line interface: scenario campaigns and the paper's tables.
+
+Each paper experiment is a shipped scenario file; ``run`` executes it.
 
 Usage::
 
-    python -m repro run scenarios/fig6a.toml        # run a campaign file
+    python -m repro run scenarios/fig6a.toml        # Figure 6a
+    python -m repro run scenarios/fig6b.toml        # Figure 6b
+    python -m repro run scenarios/fig6a.toml \\
+        --set traffic.core.n_accesses=200           # longer core trace
     python -m repro run campaign.toml --jobs 4 --json report.json
     python -m repro run campaign.toml --fork        # fork-point execution
     python -m repro run long.toml --checkpoint-every 100000
@@ -16,11 +21,8 @@ Usage::
     python -m repro probes scenarios/fig6a.toml     # control-plane probes
     python -m repro knobs scenarios/fig6a.toml      # control-plane knobs
     python -m repro plan scenarios/budget_grid.toml # fork tree, no run
-    python -m repro fig6a            # fragmentation sweep
-    python -m repro fig6b            # budget-imbalance sweep
     python -m repro table1           # SoC area decomposition
     python -m repro table2           # area-model coefficients
-    python -m repro --accesses 200 fig6a
 
 With no subcommand the help text is printed and the exit status is 2.
 """
@@ -29,35 +31,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Any, Callable, Sequence
-
-
-def _run_fig6a(args: argparse.Namespace) -> int:
-    from repro.analysis import ContentionExperiment
-
-    exp = ContentionExperiment(n_accesses=args.accesses)
-    base = exp.run_single_source()
-    print(f"single-source: {base.execution_cycles} cycles, "
-          f"worst latency {base.latency.maximum}")
-    nores = exp.run_without_reservation()
-    print(f"{'without-reservation':<22} {nores.perf_percent:>6.1f}%  "
-          f"worst {nores.worst_case_latency}")
-    for result in exp.sweep_fragmentation(tuple(args.fragmentations)):
-        print(f"{result.label:<22} {result.perf_percent:>6.1f}%  "
-              f"worst {result.worst_case_latency}")
-    return 0
-
-
-def _run_fig6b(args: argparse.Namespace) -> int:
-    from repro.analysis import ContentionExperiment
-
-    exp = ContentionExperiment(n_accesses=args.accesses)
-    exp.run_single_source()
-    for result in exp.sweep_budget():
-        print(f"{result.label:<12} {result.perf_percent:>6.1f}%  "
-              f"worst {result.worst_case_latency}  "
-              f"mean {result.latency.mean:.1f}")
-    return 0
 
 
 def _run_table1(args: argparse.Namespace) -> int:
@@ -250,9 +225,28 @@ def _telemetry_server(args: argparse.Namespace):
     host, bound = server.start()
     print(f"telemetry: listening on {host}:{bound}", flush=True)
     if getattr(args, "telemetry_wait", False):
-        print("telemetry: waiting for a client to connect...", flush=True)
-        server.wait_for_client()
+        print("telemetry: the first point waits for a client command...",
+              flush=True)
+        _hold_first_point(server)
     return server
+
+
+def _hold_first_point(server) -> None:
+    """``--telemetry-wait``: the first point *server* attaches starts
+    only once a client command (say its ``watch``) is queued, so a point
+    shorter than the client's round trip cannot end before the client
+    subscribes.  A client that leaves while the point is held also
+    releases it."""
+    attach = server.live_point
+
+    @contextmanager
+    def live_point(system, **kwargs):
+        with attach(system, **kwargs) as session:
+            server.live_point = attach  # later points start at once
+            session.wait_for_command()
+            yield session
+
+    server.live_point = live_point
 
 
 def _campaign_command(
@@ -665,8 +659,6 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "fig6a": _run_fig6a,
-    "fig6b": _run_fig6b,
     "table1": _run_table1,
     "table2": _run_table2,
     "run": _run_scenario,
@@ -737,8 +729,9 @@ def _add_campaign_options(
     )
     parser.add_argument(
         "--telemetry-wait", action="store_true",
-        help="with --telemetry: wait for a client to connect before "
-        "starting the run (so the stream starts at cycle 0)",
+        help="with --telemetry: hold the first point until a client "
+        "command (such as watch) is queued, so the stream starts at "
+        "cycle 0",
     )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
@@ -762,15 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="AXI-REALM reproduction: run declarative scenario "
         "campaigns and regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "--accesses", type=int, default=100,
-        help="core trace length for the contention experiments",
-    )
-    parser.add_argument(
-        "--fragmentations", type=lambda s: [int(v) for v in s.split(",")],
-        default=[256, 64, 16, 4, 1],
-        help="comma-separated fragmentation sizes for fig6a (e.g. 256,16,1)",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     run_parser = sub.add_parser(
@@ -864,21 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch_parser.add_argument(
         "--timeout", type=float, metavar="SECONDS", default=30.0,
         help="socket receive timeout (default 30s)",
-    )
-    fig6a_parser = sub.add_parser("fig6a",
-                                  help="fragmentation sweep (Figure 6a)")
-    fig6b_parser = sub.add_parser("fig6b",
-                                  help="budget-imbalance sweep (Figure 6b)")
-    # The experiment options also work after the subcommand (SUPPRESS
-    # keeps the subparser from clobbering a value parsed at the root).
-    for sub_parser in (fig6a_parser, fig6b_parser):
-        sub_parser.add_argument("--accesses", type=int,
-                                default=argparse.SUPPRESS,
-                                help="core trace length")
-    fig6a_parser.add_argument(
-        "--fragmentations", type=lambda s: [int(v) for v in s.split(",")],
-        default=argparse.SUPPRESS,
-        help="comma-separated fragmentation sizes (e.g. 256,16,1)",
     )
     plan_parser = sub.add_parser(
         "plan",

@@ -43,7 +43,6 @@ from repro.scenario.spec import (
     TopologySpec,
     TrafficScenario,
     WarmSpec,
-    realm_params_to_dict,
     validate,
 )
 from repro.scenario.sweep import (
@@ -90,7 +89,6 @@ __all__ = [
     "load_file",
     "loads",
     "plan_fork_tree",
-    "realm_params_to_dict",
     "run_campaign",
     "run_point",
     "set_by_path",

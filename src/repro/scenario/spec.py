@@ -244,12 +244,6 @@ def _realm_params_from_dict(raw: Any, path: str) -> RealmUnitParams:
         raise ScenarioError(str(exc), path=path) from exc
 
 
-def realm_params_to_dict(params: RealmUnitParams) -> dict:
-    """Canonical dict form of a :class:`RealmUnitParams` (the shape the
-    ``realm`` table of a manager accepts)."""
-    return {name: getattr(params, name) for name in _REALM_PARAM_FIELDS}
-
-
 @dataclass(frozen=True)
 class ManagerScenario:
     """One manager port, with its (optional) regulation stage."""
@@ -341,7 +335,8 @@ class ManagerScenario:
         if self.regions:
             out["regions"] = [_region_to_dict(r) for r in self.regions]
         if self.realm is not None:
-            out["realm"] = realm_params_to_dict(self.realm)
+            out["realm"] = {name: getattr(self.realm, name)
+                            for name in _REALM_PARAM_FIELDS}
         if self.regulator is not None:
             out["regulator"] = self.regulator.to_dict()
         return out

@@ -88,7 +88,6 @@ class TelemetryServer:
         self._thread: Optional[threading.Thread] = None
         self._clients: list[_Client] = []
         self._clients_lock = threading.Lock()
-        self._client_arrived = threading.Event()
         self._session: Optional[_LiveSession] = None
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
@@ -173,7 +172,6 @@ class TelemetryServer:
         client = _Client(writer)
         with self._clients_lock:
             self._clients.append(client)
-        self._client_arrived.set()
         session = self._session
         client.write(encode_message({
             "type": "hello",
@@ -241,12 +239,6 @@ class TelemetryServer:
         data = encode_message(message)
         for client in self.clients():
             self.post(client, data)
-
-    def wait_for_client(self, timeout: Optional[float] = None) -> bool:
-        """Block until at least one client is connected (CLI
-        ``--telemetry-wait``); True when one arrived."""
-        deadline_hit = not self._client_arrived.wait(timeout)
-        return not deadline_hit
 
     # ------------------------------------------------------------------
     # live-point attachment
@@ -347,14 +339,18 @@ class _LiveSession:
     def wake(self) -> None:
         self._wake.set()
 
-    def wait_for_command(self, timeout: float) -> bool:
+    def wait_for_command(self, timeout: Optional[float] = None) -> bool:
         """Block until a client command is queued (True) or *timeout*
-        seconds pass (False).  A run started before, say, a client's
-        ``pause(at=C)`` is queued can pass cycle C first; starting the
-        run after this returns True closes that window."""
-        deadline = perf_counter() + timeout
-        while not self._inbox and perf_counter() < deadline:
-            self._wake.wait(deadline - perf_counter())
+        seconds pass (False; ``None`` waits without a deadline).  A run
+        started before, say, a client's ``pause(at=C)`` is queued can
+        pass cycle C first; starting the run after this returns True
+        closes that window."""
+        deadline = None if timeout is None else perf_counter() + timeout
+        while not self._inbox:
+            left = None if deadline is None else deadline - perf_counter()
+            if left is not None and left <= 0:
+                break
+            self._wake.wait(left)
             self._wake.clear()
         return bool(self._inbox)
 

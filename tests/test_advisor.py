@@ -1,5 +1,7 @@
 """Tests for the monitoring-driven budget advisor."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.advisor import (
@@ -8,6 +10,10 @@ from repro.analysis.advisor import (
     ManagerObservation,
 )
 from repro.realm import BookkeepingUnit
+from repro.scenario import apply_overrides, expand, load_file, run_campaign
+from repro.scenario.runner import _elaborate_point
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def observe(name, bytes_per_cycle, cycles=1000, weight=1.0):
@@ -87,18 +93,27 @@ def test_validation():
     assert advisor.plan([], 100) == []
 
 
+def _fig6b_point(label, core_budget, dma_budget):
+    """``scenarios/fig6b.toml`` (fragmentation 1, 1000-cycle periods) at
+    60 core accesses: its core-alone baseline and one point *label*."""
+    return apply_overrides(load_file(SCENARIO_DIR / "fig6b.toml"), {
+        "traffic.core.n_accesses": 60,
+        "topology.managers.core.regions.0.budget_bytes": core_budget,
+        "campaign.sweep.0": {
+            "field": "topology.managers.dma.regions.0.budget_bytes",
+            "values": [dma_budget],
+            "labels": [label],
+        },
+    })
+
+
 def test_advisor_closes_the_loop_in_system():
     """Observe an unregulated system, plan budgets, apply, verify the
     core recovers — monitoring-driven reconfiguration end to end."""
-    from repro.analysis import ContentionExperiment
-
-    exp = ContentionExperiment(n_accesses=60)
-    base = exp.run_single_source()
-    # Phase 1: observe under uncontrolled contention.
-    system, _generators = exp.build(
-        with_dma=True, fragmentation=1, core_budget=1 << 40,
-        dma_budget=1 << 40, period=1000, regulation=True,
-    )
+    # Phase 1: observe under uncontrolled contention (budgets never bind).
+    spec = _fig6b_point("observe", 1 << 40, 1 << 40)
+    point = next(p for p in expand(spec) if p.label == "observe")
+    system, _generators = _elaborate_point(point)
     system.sim.run(3000)
     advisor = BudgetAdvisor(link_bytes_per_cycle=8)
     observations = [
@@ -110,11 +125,9 @@ def test_advisor_closes_the_loop_in_system():
     plans = {p.name: p for p in advisor.plan(observations, 1000)}
     assert plans["dma"].budget_bytes < 8 * 1000  # DMA actually capped
     # Phase 2: apply the plan in a fresh run.
-    result = exp.run(
-        fragmentation=1,
+    result = run_campaign(_fig6b_point(
+        "advised",
         core_budget=max(plans["core"].budget_bytes, 4000),
         dma_budget=plans["dma"].budget_bytes,
-        period=1000,
-        label="advised",
-    )
-    assert result.perf_percent > 85.0
+    ))
+    assert result.point("advised").perf_percent > 85.0

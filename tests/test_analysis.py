@@ -1,10 +1,11 @@
-"""Tests for stats helpers, interference monitoring, and the experiment
-runner."""
+"""Tests for stats helpers, interference monitoring, and the Figure 6
+trends of the shipped scenario files."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    ContentionExperiment,
     InterferenceMatrix,
     LatencyStats,
     SystemInterferenceMonitor,
@@ -12,6 +13,9 @@ from repro.analysis import (
     percentile,
     performance_percent,
 )
+from repro.scenario import apply_overrides, load_file, run_campaign
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # ----------------------------------------------------------------------
@@ -107,50 +111,64 @@ def test_system_monitor_detects_dma_interference():
 
 
 # ----------------------------------------------------------------------
-# experiment runner
+# Figure 6 trends (the shipped campaigns at 40 core accesses)
 # ----------------------------------------------------------------------
+def _figure6(name: str, sweep: dict) -> dict:
+    """*name*'s campaign at 40 core accesses, its sweep values replaced
+    by *sweep* (label -> value); returns the points by label."""
+    spec = apply_overrides(load_file(SCENARIO_DIR / f"{name}.toml"), {
+        "traffic.core.n_accesses": 40,
+        "campaign.sweep.0.values": list(sweep.values()),
+        "campaign.sweep.0.labels": list(sweep),
+    })
+    return {point.label: point for point in run_campaign(spec).points}
+
+
 @pytest.fixture(scope="module")
-def small_experiment():
-    exp = ContentionExperiment(n_accesses=40)
-    exp.run_single_source()
-    return exp
+def fig6a():
+    return _figure6("fig6a", {f"frag={f}": f for f in (256, 16, 4, 1)})
 
 
-def test_single_source_baseline(small_experiment):
-    base = small_experiment.run_single_source()
+@pytest.fixture(scope="module")
+def fig6b():
+    return _figure6("fig6b", {"dma=1/1": 8192, "dma=1/5": 8192 // 5})
+
+
+def test_single_source_baseline(fig6a):
+    base = fig6a["single-source"]
     assert base.perf_percent == 100.0
-    assert base.latency.maximum <= 10  # paper: at most 8 + model epsilon
+    assert base.worst_case_latency <= 10  # paper: at most 8 + model epsilon
 
 
-def test_uncontrolled_contention_collapses_performance(small_experiment):
-    r = small_experiment.run_without_reservation()
+def test_uncontrolled_contention_collapses_performance(fig6a):
+    r = fig6a["without-reservation"]
     assert r.perf_percent < 30.0
     assert r.worst_case_latency > 250  # >= one full 256-beat burst
 
 
-def test_fragmentation_one_recovers_performance(small_experiment):
-    r = small_experiment.run(fragmentation=1)
+def test_fragmentation_one_recovers_performance(fig6a):
+    r = fig6a["frag=1"]
     assert r.perf_percent > 60.0
     assert r.worst_case_latency < 20
 
 
-def test_fragmentation_sweep_monotone_trend(small_experiment):
-    results = small_experiment.sweep_fragmentation((256, 16, 1))
+def test_fragmentation_sweep_monotone_trend(fig6a):
+    results = [fig6a[f"frag={f}"] for f in (256, 16, 1)]
     perfs = [r.perf_percent for r in results]
     assert perfs[0] < perfs[1] < perfs[2]
     lats = [r.worst_case_latency for r in results]
     assert lats[0] > lats[1] > lats[2]
 
 
-def test_budget_sweep_improves_with_skew(small_experiment):
-    results = small_experiment.sweep_budget(ratios=(1, 5))
-    assert results[-1].perf_percent >= results[0].perf_percent
-    assert results[-1].perf_percent > 90.0
+def test_budget_sweep_improves_with_skew(fig6b):
+    skewed, even = fig6b["dma=1/5"], fig6b["dma=1/1"]
+    assert skewed.perf_percent >= even.perf_percent
+    assert skewed.perf_percent > 90.0
 
 
-def test_result_fields(small_experiment):
-    r = small_experiment.run(fragmentation=4, label="check")
-    assert r.label == "check"
+def test_result_fields(fig6a):
+    r = fig6a["frag=4"]
+    assert r.label == "frag=4"
     assert r.execution_cycles > 0
-    assert r.dma_bytes > 0
+    assert r.dma_bytes() > 0
     assert r.sim_cycles >= r.execution_cycles

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main, parse_cli_value
+from repro.telemetry import TelemetryClient, parse_target
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,27 +66,6 @@ def test_table2_command(capsys):
     assert "Burst Splitter" in out
 
 
-def test_fig6a_command_small(capsys):
-    assert main(["--accesses", "30", "--fragmentations", "256,1",
-                 "fig6a"]) == 0
-    out = capsys.readouterr().out
-    assert "single-source" in out
-    assert "frag=1" in out
-
-
-def test_fig6b_command_small(capsys):
-    assert main(["--accesses", "30", "fig6b"]) == 0
-    out = capsys.readouterr().out
-    assert "dma=1/5" in out
-
-
-def test_experiment_options_accepted_after_the_subcommand(capsys):
-    # The pre-subparser CLI accepted options in either position.
-    assert main(["fig6a", "--accesses", "30", "--fragmentations",
-                 "256,1"]) == 0
-    assert "frag=1" in capsys.readouterr().out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["nope"])
@@ -96,7 +78,7 @@ def test_no_subcommand_prints_help_and_returns_2(capsys):
     assert main([]) == 2
     out = capsys.readouterr().out
     assert "usage: repro" in out
-    assert "run" in out and "fig6a" in out
+    assert "run" in out and "table1" in out
 
 
 def test_module_invocation_without_subcommand_exits_2():
@@ -435,7 +417,8 @@ def test_run_telemetry_watch_once_end_to_end(tmp_path):
     )
     try:
         # The bound port is announced before the run starts (and the
-        # run then blocks on --telemetry-wait until the watcher shows).
+        # run then holds its first point on --telemetry-wait until the
+        # watcher's command is queued).
         line = run_proc.stdout.readline()
         assert "telemetry: listening on" in line, line
         target = line.rsplit(" ", 1)[-1].strip()
@@ -457,3 +440,42 @@ def test_run_telemetry_watch_once_end_to_end(tmp_path):
         if run_proc.poll() is None:
             run_proc.kill()
             run_proc.communicate()
+
+
+def test_telemetry_wait_holds_the_first_point_for_a_command(
+    tmp_path, capsys
+):
+    """`--telemetry-wait` holds the first point until a client command
+    is queued: a client that connects, idles for longer than the whole
+    point takes, and only then sends `watch` still gets a frame."""
+    path = tmp_path / "live.toml"
+    path.write_text(TELEMETRY_SCENARIO)
+    status = []
+    run = threading.Thread(
+        target=lambda: status.append(main(
+            ["run", str(path), "--set", "run.horizon=2000",
+             "--telemetry", "0", "--telemetry-wait"])),
+        daemon=True,
+    )
+    run.start()
+    try:
+        out = ""
+        deadline = time.monotonic() + 30
+        while "listening on" not in out:
+            assert time.monotonic() < deadline, "no telemetry port announced"
+            out += capsys.readouterr().out
+            time.sleep(0.01)
+        host, port = parse_target(out.split("listening on ")[1].split()[0])
+        with TelemetryClient(host, port) as client:
+            if not client.hello["live"]:
+                # Connected before the point attached: its broadcast
+                # says it has (held, under --telemetry-wait).
+                assert next(client.events())["type"] == "point"
+            # Let the run end its point first if anything lets it start.
+            run.join(timeout=0.5)
+            client.watch()
+            frame = next(client.frames(1))
+        assert frame["point"] == "live" and frame["cycle"] == 200
+    finally:
+        run.join(timeout=60)
+    assert status == [0]
