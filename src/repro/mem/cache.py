@@ -17,9 +17,15 @@ from typing import Optional
 from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat, WBeat
 from repro.axi.ports import AxiBundle
 from repro.axi.transaction import beat_addresses
-from repro.axi.types import Resp, bytes_per_beat
+from repro.axi.types import BurstType, Resp, bytes_per_beat
 from repro.sim.kernel import Component, SimulationError
 from repro.sim.span import SpanOffer, produce
+
+# Per-beat paths compare these; a member lookup through the enum class
+# costs several times a module-global load.
+_OKAY = Resp.OKAY
+_SLVERR = Resp.SLVERR
+_INCR = BurstType.INCR
 
 
 class _Line:
@@ -54,6 +60,8 @@ class CacheLLC(Component):
         back_beat_size: int = 3,
     ) -> None:
         super().__init__(name)
+        if line_bytes < 1 or line_bytes & (line_bytes - 1):
+            raise ValueError("line_bytes must be a power of two")
         if capacity % (line_bytes * ways):
             raise ValueError("capacity must be a multiple of line_bytes * ways")
         if line_bytes % bytes_per_beat(back_beat_size):
@@ -175,10 +183,13 @@ class CacheLLC(Component):
         self._now = cycle
         self._batch_mode = self._sim._batched
         self._front_accept()
-        handler = getattr(self, f"_st_{self._state}", None)
-        if handler is None:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown cache state {self._state!r}")
-        handler()
+        try:
+            handler = self._HANDLERS[self._state]
+        except KeyError:  # pragma: no cover - defensive
+            raise SimulationError(
+                f"unknown cache state {self._state!r}"
+            ) from None
+        handler(self)
 
     def is_idle(self) -> bool:
         if not self._batch_mode:
@@ -307,7 +318,7 @@ class CacheLLC(Component):
     def tick_current(self) -> None:
         """Re-dispatch after a same-cycle state change (keeps hit streaming
         at one beat per cycle without a dead cycle between states)."""
-        getattr(self, f"_st_{self._state}")()
+        self._HANDLERS[self._state](self)
 
     # ------------------------------------------------------------------
     # span-replay (DESIGN.md section 11)
@@ -336,43 +347,97 @@ class CacheLLC(Component):
             return None
         nbytes = bytes_per_beat(txn.size)
         line_mask = ~(self.line_bytes - 1)
-        template_data: Optional[bytes] = None
-        horizon = 0
-        for j in range(index, index + limit):
-            addr = self._addrs[j]
-            line = self.lookup(addr & line_mask, touch=False)
-            if line is None:
-                break
-            offset = addr - (addr & line_mask)
-            data = bytes(line.data[offset : offset + nbytes])
-            if template_data is None:
-                template_data = data
-            elif data != template_data:
-                break
-            horizon += 1
-        if horizon < 1 or template_data is None:
+        addrs = self._addrs
+        addr = addrs[index]
+        line = self.lookup(addr & line_mask, touch=False)
+        if line is None:
             return None
+        offset = addr & ~line_mask
+        template_data = bytes(line.data[offset : offset + nbytes])
+        # INCR beats after the first are back to back and never straddle
+        # a line, so the rest of the window is checked once per line.
+        runs = txn.burst == _INCR and nbytes <= self.line_bytes
+        if runs:
+            horizon = self._run_horizon(index + 1, limit - 1, nbytes,
+                                        template_data)
+        else:
+            horizon = self._beat_horizon(index + 1, limit - 1, nbytes,
+                                         template_data)
         template = RBeat(
-            id=txn.id, data=template_data, resp=Resp.OKAY, last=False,
+            id=txn.id, data=template_data, resp=_OKAY, last=False,
             txn=txn.txn,
         )
 
         def apply(n: int) -> None:
             self.hits += n
             self._now = cycle + n - 1
-            touched = None
-            for j in range(index, index + n):
-                line_addr = self._addrs[j] & line_mask
-                if line_addr != touched:
-                    self.lookup(line_addr)  # LRU touch, in beat order
-                    touched = line_addr
+            # LRU touches, once per line in beat order.
+            if runs:
+                first = addrs[index] & line_mask
+                last = addrs[index + n - 1] & line_mask
+                for line_addr in range(first, last + 1, self.line_bytes):
+                    self.lookup(line_addr)
+            else:
+                touched = None
+                for j in range(index, index + n):
+                    line_addr = addrs[j] & line_mask
+                    if line_addr != touched:
+                        self.lookup(line_addr)
+                        touched = line_addr
             self._index = index + n
 
         return SpanOffer(
             flows=(produce(self.front.r, template),),
-            horizon=horizon,
+            horizon=1 + horizon,
             apply=apply,
         )
+
+    def _run_horizon(
+        self, start: int, count: int, nbytes: int, template: bytes
+    ) -> int:
+        """How many of the *count* back-to-back beats from ``start`` hit
+        and repeat *template*: one slice compare per resident line."""
+        line_bytes = self.line_bytes
+        line_mask = ~(line_bytes - 1)
+        addr = self._addrs[start]
+        done = 0
+        while done < count:
+            line_addr = addr & line_mask
+            line = self.lookup(line_addr, touch=False)
+            if line is None:
+                break
+            offset = addr - line_addr
+            k = min(count - done, (line_bytes - offset) // nbytes)
+            data = line.data
+            if data[offset : offset + k * nbytes] != template * k:
+                for i in range(offset, offset + k * nbytes, nbytes):
+                    if data[i : i + nbytes] != template:
+                        break
+                    done += 1
+                break
+            done += k
+            addr += k * nbytes
+        return done
+
+    def _beat_horizon(
+        self, start: int, count: int, nbytes: int, template: bytes
+    ) -> int:
+        """How many of the *count* beats from ``start`` hit and repeat
+        *template*, one lookup per beat (WRAP and FIXED bursts, and beats
+        wider than a line)."""
+        line_mask = ~(self.line_bytes - 1)
+        addrs = self._addrs
+        done = 0
+        for j in range(start, start + count):
+            addr = addrs[j]
+            line = self.lookup(addr & line_mask, touch=False)
+            if line is None:
+                break
+            offset = addr & ~line_mask
+            if line.data[offset : offset + nbytes] != template:
+                break
+            done += 1
+        return done
 
     # -- read streaming ------------------------------------------------
     def _st_r_serve(self) -> None:
@@ -399,7 +464,7 @@ class CacheLLC(Component):
         data = bytes(line.data[offset : offset + nbytes])
         last = self._index == beat.beats - 1
         self.front.r.send(
-            RBeat(id=beat.id, data=data, resp=Resp.OKAY, last=last, txn=beat.txn)
+            RBeat(id=beat.id, data=data, resp=_OKAY, last=last, txn=beat.txn)
         )
         self._index += 1
         if last:
@@ -448,7 +513,7 @@ class CacheLLC(Component):
     def _st_b_resp(self) -> None:
         if not self.front.b.can_send():
             return
-        resp = Resp.SLVERR if self._w_error else Resp.OKAY
+        resp = _SLVERR if self._w_error else _OKAY
         self.front.b.send(BBeat(id=self._txn.id, resp=resp, txn=self._txn.txn))
         self._state = "idle"
         self.writes_served += 1
@@ -526,3 +591,18 @@ class CacheLLC(Component):
                 self._after_refill = True
                 self._state = self._resume
                 return
+
+    #: FSM state name -> handler, so a tick dispatches without building
+    #: the method name.
+    _HANDLERS = {
+        "idle": _st_idle,
+        "latency": _st_latency,
+        "r_serve": _st_r_serve,
+        "w_collect": _st_w_collect,
+        "b_resp": _st_b_resp,
+        "wb_aw": _st_wb_aw,
+        "wb_w": _st_wb_w,
+        "wb_b": _st_wb_b,
+        "refill_ar": _st_refill_ar,
+        "refill_r": _st_refill_r,
+    }

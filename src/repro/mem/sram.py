@@ -15,10 +15,21 @@ from typing import Optional
 from repro.axi.beats import ARBeat, AWBeat, BBeat, RBeat
 from repro.axi.ports import AxiBundle
 from repro.axi.transaction import beat_addresses
-from repro.axi.types import AtomicOp, Resp, bytes_per_beat
+from repro.axi.types import AtomicOp, BurstType, Resp, bytes_per_beat
 from repro.mem.backing import BackingStore
 from repro.sim.kernel import Component
 from repro.sim.span import UNBOUNDED, SpanOffer, consume, produce
+
+# Per-beat paths compare these; a member lookup through the enum class
+# costs several times a module-global load.
+_OKAY = Resp.OKAY
+_SLVERR = Resp.SLVERR
+_ATOP_NONE = AtomicOp.NONE
+_ATOP_COMPARE = AtomicOp.COMPARE
+_ATOP_STORE = AtomicOp.STORE
+_ATOP_LOAD = AtomicOp.LOAD
+_ATOP_SWAP = AtomicOp.SWAP
+_INCR = BurstType.INCR
 
 
 class SramMemory(Component):
@@ -172,7 +183,7 @@ class SramMemory(Component):
                 return None  # an AW would be accepted this cycle
         elif not self._wr_done:
             if port.w._queue:
-                if self._wr.atop != AtomicOp.NONE:
+                if self._wr.atop != _ATOP_NONE:
                     return None
                 w_template = port.w._queue[0]
                 if w_template.last:
@@ -186,14 +197,14 @@ class SramMemory(Component):
         if r_template is not None and w_template is not None:
             # Reads run before writes inside one tick; a closed-form
             # replay is only exact when the streams cannot interact.
-            nbytes = bytes_per_beat(self._rd.size)
-            rd_lo = min(self._rd_addrs[self._rd_index :])
-            rd_hi = max(self._rd_addrs[self._rd_index :]) + nbytes
-            wbytes = bytes_per_beat(self._wr.size)
-            wr_lo = min(self._wr_addrs[self._wr_index :], default=rd_hi)
-            wr_hi = max(self._wr_addrs[self._wr_index :], default=rd_hi)
-            wr_hi += wbytes
-            if rd_lo < wr_hi and wr_lo < rd_hi:
+            # W beats past the burst's length write its last address.
+            wr_addrs = self._wr_addrs
+            rd_lo, rd_hi = _extent(self._rd, self._rd_addrs, self._rd_index)
+            wr_lo, wr_hi = _extent(
+                self._wr, wr_addrs, min(self._wr_index, len(wr_addrs) - 1)
+            )
+            if (rd_lo < wr_hi + bytes_per_beat(self._wr.size)
+                    and wr_lo < rd_hi + bytes_per_beat(self._rd.size)):
                 return None
 
         wr_index = self._wr_index
@@ -228,8 +239,9 @@ class SramMemory(Component):
         in-range run without error, else a per-beat scan."""
         addrs = self._rd_addrs
         start = self._rd_index
-        if resp == Resp.OKAY:
-            base = _run_base(addrs, start, limit, nbytes)
+        if resp == _OKAY:
+            base = _run_base(addrs, start, limit, nbytes,
+                             self._rd.burst == _INCR)
             if base is not None:
                 try:
                     if self.store.read(base, limit * nbytes) == data * limit:
@@ -251,7 +263,8 @@ class SramMemory(Component):
         lanes = (1 << nbytes) - 1
         if not nbytes or (strb & lanes) != lanes:
             return False
-        base = _run_base(self._wr_addrs, start, n, nbytes)
+        base = _run_base(self._wr_addrs, start, n, nbytes,
+                         self._wr.burst == _INCR)
         if base is None:
             return False
         try:
@@ -264,12 +277,12 @@ class SramMemory(Component):
         """One R beat's payload and response, without side effects."""
         try:
             data = self.store.read(addr, nbytes)
-            resp = Resp.OKAY
+            resp = _OKAY
         except IndexError:
             data = bytes(nbytes)
-            resp = Resp.SLVERR
+            resp = _SLVERR
         if self._rd_error:
-            resp = Resp.SLVERR
+            resp = _SLVERR
         return data, resp
 
     # ------------------------------------------------------------------
@@ -311,12 +324,12 @@ class SramMemory(Component):
         nbytes = bytes_per_beat(beat.size)
         try:
             data = self.store.read(addr, nbytes)
-            resp = Resp.OKAY
+            resp = _OKAY
         except IndexError:
             data = bytes(nbytes)
-            resp = Resp.SLVERR
+            resp = _SLVERR
         if self._rd_error:
-            resp = Resp.SLVERR
+            resp = _SLVERR
         last = self._rd_index == beat.beats - 1
         self.port.r.send(
             RBeat(id=beat.id, data=data, resp=resp, last=last, txn=beat.txn)
@@ -351,7 +364,7 @@ class SramMemory(Component):
                 return
             wbeat = self.port.w.recv()
             addr = self._wr_addrs[min(self._wr_index, len(self._wr_addrs) - 1)]
-            if self._wr.atop != AtomicOp.NONE:
+            if self._wr.atop != _ATOP_NONE:
                 self._apply_atomic(addr, wbeat)
             elif wbeat.data is not None:
                 try:
@@ -372,7 +385,7 @@ class SramMemory(Component):
             return
         if not self.port.b.can_send():
             return
-        resp = Resp.SLVERR if self._wr_error else Resp.OKAY
+        resp = _SLVERR if self._wr_error else _OKAY
         self.port.b.send(BBeat(id=self._wr.id, resp=resp, txn=self._wr.txn))
         self.writes_served += 1
         self._wr = None
@@ -390,7 +403,7 @@ class SramMemory(Component):
         """
         nbytes = len(wbeat.data) if wbeat.data else 8
         op = self._wr.atop
-        if op == AtomicOp.COMPARE or wbeat.data is None:
+        if op == _ATOP_COMPARE or wbeat.data is None:
             self._wr_error = True
             return
         try:
@@ -401,28 +414,51 @@ class SramMemory(Component):
         operand = int.from_bytes(wbeat.data, "little")
         old_value = int.from_bytes(old, "little")
         mask = (1 << (8 * nbytes)) - 1
-        if op in (AtomicOp.STORE, AtomicOp.LOAD):
+        if op in (_ATOP_STORE, _ATOP_LOAD):
             new_value = (old_value + operand) & mask
         else:  # SWAP
             new_value = operand
         self.store.write(addr, new_value.to_bytes(nbytes, "little"))
         self.atomics_served += 1
-        if op in (AtomicOp.LOAD, AtomicOp.SWAP):
+        if op in (_ATOP_LOAD, _ATOP_SWAP):
             self._atomic_r = RBeat(
-                id=self._wr.id, data=old, resp=Resp.OKAY, last=True,
+                id=self._wr.id, data=old, resp=_OKAY, last=True,
                 txn=self._wr.txn,
             )
 
 
+def _extent(
+    beat: ARBeat | AWBeat, addrs: list[int], start: int
+) -> tuple[int, int]:
+    """Lowest and highest of the non-empty ``addrs[start:]``.  INCR
+    addresses rise from the first beat to the last, so their ends bound
+    them without a scan."""
+    if beat.burst == _INCR:
+        return addrs[start], addrs[-1]
+    rest = addrs[start:]
+    return min(rest), max(rest)
+
+
 def _run_base(
-    addrs: list[int], start: int, count: int, stride: int
+    addrs: list[int], start: int, count: int, stride: int, incr: bool
 ) -> Optional[int]:
     """First address of ``addrs[start:start + count]`` if those beats are
-    back to back, *stride* bytes apart, else ``None``."""
-    window = addrs[start : start + count]
-    if len(window) < count:
+    back to back, *stride* bytes apart, else ``None``.  An *incr* list is
+    affine from its second beat, so its window is a run exactly when the
+    first step and the span from the first to the last address agree
+    with *stride*."""
+    if start + count > len(addrs):
         return None
-    base = window[0]
-    if window != list(range(base, base + count * stride, stride)):
+    base = addrs[start]
+    if incr:
+        if count > 1 and (
+            addrs[start + 1] - base != stride
+            or addrs[start + count - 1] - base != (count - 1) * stride
+        ):
+            return None
+        return base
+    if addrs[start : start + count] != list(
+        range(base, base + count * stride, stride)
+    ):
         return None
     return base

@@ -65,7 +65,7 @@ MIN_SPAN = 4
 UNBOUNDED = 1 << 60
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpanFlow:
     """One sustained beat-per-cycle movement.
 
@@ -96,7 +96,7 @@ def produce(dst: Any, template: Any) -> SpanFlow:
     return SpanFlow(None, dst, None, template)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpanOffer:
     """A component's guarantee of ``horizon`` linear cycles.
 

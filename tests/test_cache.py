@@ -1,10 +1,15 @@
 """Unit tests for the LLC cache model (front driver, DRAM behind)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.axi import AxiBundle, Resp
+from repro.axi import AxiBundle, BurstType, Resp
+from repro.axi.beats import ARBeat
+from repro.axi.transaction import beat_addresses
 from repro.mem import CacheLLC, DramModel, DramTiming, SramMemory
 from repro.sim import Simulator
+from repro.sim.span import UNBOUNDED
 from repro.traffic.driver import ManagerDriver
 
 
@@ -142,6 +147,8 @@ def test_capacity_validation():
         CacheLLC(f, b, line_bytes=64, ways=3, capacity=1000)
     with pytest.raises(ValueError):
         llc = CacheLLC(f, b, line_bytes=60, ways=2, capacity=4 * 1024)
+    with pytest.raises(ValueError, match="power of two"):
+        CacheLLC(f, b, line_bytes=48, ways=2, capacity=48 * 2 * 4)
 
 
 def test_install_line_validates_length():
@@ -161,3 +168,131 @@ def test_write_partial_strobe_merge():
     op = drv.read(0x0)
     finish(sim, drv)
     assert op.rdata == bytes(8)
+
+
+# ----------------------------------------------------------------------
+# span replay: the per-line offer equals per-beat hit streaming
+# (DESIGN.md §11)
+# ----------------------------------------------------------------------
+_LINE = 64
+_BASE = 0x4000
+_WARM = 8 * 1024  # all resident, in 4 sets of 32 ways: a window of more
+_WAYS = 32        # than 4 lines touches some set twice
+
+
+def _streaming_llc(content, ar, start):
+    """An LLC holding *content* from ``_BASE`` on, with *ar* accepted and
+    its first *start* beats served per beat (zero hit latency)."""
+    sim = Simulator()
+    front = AxiBundle(sim, "llc.front")
+    llc = sim.add(CacheLLC(front, AxiBundle(sim, "llc.back"),
+                           line_bytes=_LINE, ways=_WAYS, capacity=_WARM,
+                           hit_latency=0))
+    for offset in range(0, _WARM, _LINE):
+        llc.install_line(_BASE + offset, content[offset : offset + _LINE])
+    front.ar.send(ar.copy())
+    front.ar.commit()
+    llc.tick(0)
+    assert llc._state == "r_serve"
+    for _ in range(start):
+        _serve(llc)
+    return llc
+
+
+def _serve(llc):
+    llc._st_r_serve()
+    llc.front.r.commit()
+    return llc.front.r.recv()
+
+
+def _observed(llc):
+    return llc.hits, llc._index, [tuple(ways) for ways in llc._sets]
+
+
+@st.composite
+def _read_bursts(draw):
+    """A read burst over warmed lines that repeat one beat-wide pattern
+    (so windows are often uniform), sometimes with one byte near the
+    burst flipped.  INCR bursts may start unaligned, and beats may be
+    wider than a line."""
+    axsize = draw(st.integers(0, 7))
+    nbytes = 1 << axsize
+    kind = draw(st.sampled_from([BurstType.INCR, *BurstType]))
+    if kind is BurstType.WRAP:
+        beats = draw(st.sampled_from([2, 4, 8, 16]))
+    else:
+        most = 64 if kind is BurstType.INCR else 16
+        beats = draw(st.one_of(st.just(most), st.integers(2, most)))
+    offset = draw(st.integers(0, 0x800))
+    if kind is not BurstType.INCR or draw(st.booleans()):
+        offset -= offset % nbytes
+    first = draw(st.integers(0, 255))
+    pattern = bytes((first + i) % 256 for i in range(nbytes))
+    content = bytearray(pattern * (_WARM // nbytes))
+    if draw(st.integers(0, 2)) == 0:
+        flip = offset + draw(st.integers(-_LINE, beats * nbytes - 1))
+        if 0 <= flip < _WARM:
+            content[flip] ^= 0xFF
+    ar = ARBeat(id=3, addr=_BASE + offset, beats=beats, size=axsize,
+                burst=kind, txn=9)
+    return bytes(content), ar
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_read_bursts(), data=st.data())
+def test_span_offer_equals_per_beat_hit_streaming(case, data):
+    """The offer's template and horizon are what per-beat ``r_serve``
+    serves: the leading beats that hit and repeat the first one, up to
+    the bound and short of the last beat — within a line, across lines,
+    past a flipped byte or an evicted line, on INCR (aligned or not),
+    WRAP and FIXED bursts.  ``apply(n)`` leaves the hit count, the beat
+    index and every set's LRU order as ``n`` per-beat serves."""
+    content, ar = case
+    beats = ar.beats
+    start = data.draw(st.one_of(st.just(0), st.integers(0, beats - 2)))
+    bound = data.draw(st.one_of(st.integers(1, 70), st.just(UNBOUNDED)))
+    evict = data.draw(st.one_of(st.none(), st.none(),
+                                st.integers(start, beats - 1)))
+    bulk, ref = (_streaming_llc(content, ar, start) for _ in range(2))
+    if evict is not None:
+        for llc in (bulk, ref):
+            set_idx, tag = llc._set_tag(llc._addrs[evict] & ~(_LINE - 1))
+            del llc._sets[set_idx][tag]
+    offer = bulk.span_offer(1, bound)
+    served, observed = [], []
+    for j in range(start, start + min(beats - 1 - start, bound)):
+        if not ref.contains(ref._addrs[j]):
+            break  # a miss: the refill sequence ends the stream
+        served.append(_serve(ref))
+        observed.append(_observed(ref))
+    if not served:
+        assert offer is None
+        return
+    horizon = 1
+    while horizon < len(served) and served[horizon] == served[0]:
+        horizon += 1
+    (flow,) = offer.flows
+    assert flow.template_out == served[0]
+    assert offer.horizon == horizon
+    n = data.draw(st.one_of(st.just(horizon), st.integers(1, horizon)))
+    offer.apply(n)
+    assert _observed(bulk) == observed[n - 1]
+
+
+def test_span_offer_looks_up_each_line_once():
+    """A resident INCR window costs one lookup per line it touches (plus
+    one for the template), not one per beat."""
+    ar = ARBeat(id=1, addr=_BASE, beats=256, size=3)
+    llc = _streaming_llc(bytes(_WARM), ar, 0)
+    lookups = []
+    real_lookup = llc.lookup
+
+    def lookup(line_addr, touch=True):
+        lookups.append(line_addr)
+        return real_lookup(line_addr, touch)
+
+    llc.lookup = lookup
+    offer = llc.span_offer(1, UNBOUNDED)
+    window = beat_addresses(ar)[:255]
+    assert offer.horizon == 255
+    assert len(lookups) <= len({a // _LINE for a in window}) + 1

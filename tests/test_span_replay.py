@@ -257,14 +257,30 @@ def _smoke_stream_runs():
 
 def test_smoke_stream_steady_span_coverage_is_pinned():
     """Negotiation is an execution strategy, but a change to it must
-    not silently lose spans: the smoke showcase keeps its coverage."""
+    not silently move a decision: the smoke showcase keeps its attempts,
+    abort causes, spans and replayed cycles."""
     coverage = {}
     for point, system, run in _smoke_stream_runs():
         run()
+        sim = system.sim
         coverage[point.label] = (
-            system.sim.spans_entered, system.sim.span_cycles_replayed
+            sim.spans_entered + sum(sim.span_aborts.values()),
+            sim.span_aborts,
+            sim.spans_entered,
+            sim.span_cycles_replayed,
         )
-    assert coverage == {"uncapped": (80, 7266), "budget=8k": (62, 7087)}
+    assert coverage == {
+        "uncapped": (
+            400, {"no_offer": 170, "opaque": 2, "short": 57, "stitch": 91},
+            80, 7266,
+        ),
+        "budget=8k": (
+            622,
+            {"no_offer": 457, "opaque": 2, "short": 39, "stitch": 59,
+             "window": 3},
+            62, 7087,
+        ),
+    }
 
 
 def _budget_point(span_replay: bool):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.axi import AxiBundle, BurstType, Resp
 from repro.axi.beats import ARBeat, AWBeat, WBeat
+from repro.axi.transaction import beat_addresses
 from repro.mem import SramMemory
+from repro.mem.sram import _run_base
 from repro.sim import Simulator
 from repro.sim.span import UNBOUNDED
 from repro.traffic.driver import ManagerDriver
@@ -265,3 +267,86 @@ def test_span_read_offer_equals_per_beat_reads(case, data):
         horizon += 1
     assert flow.template_out == first
     assert offer.horizon == horizon
+
+
+@pytest.mark.parametrize("axsize", range(4))
+def test_incr_run_test_matches_the_full_window(axsize):
+    """The INCR contiguity test reads two steps of the window; it agrees
+    with comparing the whole window, for every unaligned start, window
+    and stride (W data may be narrower or wider than the beat)."""
+    nbytes = 1 << axsize
+    for skew in range(nbytes):
+        for beats in range(1, 7):
+            addrs = beat_addresses(ARBeat(id=0, addr=0x100 + skew,
+                                          beats=beats, size=axsize))
+            for start in range(beats):
+                for count in range(1, beats - start + 1):
+                    for stride in range(1, 2 * nbytes + 1):
+                        assert _run_base(addrs, start, count, stride, True) \
+                            == _run_base(addrs, start, count, stride, False)
+
+
+_PAIRED_KINDS = ("incr", "incr-unaligned", "wrap", "fixed")
+
+
+def _paired_burst(data, kind, beat_type, **fields):
+    """A burst of *kind* inside the first 0x200 bytes of the SRAM, so a
+    read and a write burst drawn this way often overlap."""
+    axsize = data.draw(st.integers(1 if kind == "incr-unaligned" else 0, 3))
+    nbytes = 1 << axsize
+    if kind == "wrap":
+        beats = data.draw(st.sampled_from([2, 4, 8, 16]))
+    else:
+        beats = data.draw(st.integers(2, 32 if kind.startswith("incr")
+                                      else 16))
+    offset = data.draw(st.integers(0, 0xFF)) // nbytes * nbytes
+    if kind == "incr-unaligned":
+        offset += data.draw(st.integers(1, nbytes - 1))
+    burst = {"wrap": BurstType.WRAP, "fixed": BurstType.FIXED}.get(
+        kind, BurstType.INCR
+    )
+    return beat_type(addr=0x100 + offset, beats=beats, size=axsize,
+                     burst=burst, **fields)
+
+
+@pytest.mark.parametrize("wr_kind", _PAIRED_KINDS)
+@pytest.mark.parametrize("rd_kind", _PAIRED_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_span_offer_refuses_exactly_overlapping_read_and_write(
+    rd_kind, wr_kind, data
+):
+    """With both ports mid-burst, the offer is refused exactly when the
+    rest of the read burst and the rest of the write burst touch a common
+    byte, computed here from their full address lists.  W beats past a
+    write burst's length (the manager did not mark the last one) keep
+    writing its last address."""
+    ar = _paired_burst(data, rd_kind, ARBeat, id=1, txn=3)
+    aw = _paired_burst(data, wr_kind, AWBeat, id=2, txn=4)
+    rd_start = data.draw(st.integers(0, ar.beats - 2))
+    written = data.draw(st.integers(0, aw.beats))
+    sim = Simulator()
+    sram = sim.add(SramMemory(AxiBundle(sim, "mem"), base=0x100,
+                              size=0x400, read_latency=0, write_latency=0))
+    port = sram.port
+    _push(port.ar, ar)
+    _push(port.aw, aw)
+    sram._tick_read(0)
+    sram._tick_write(0)
+    for _ in range(rd_start):
+        sram._tick_read(0)
+        port.r.commit()
+        port.r.recv()
+    wbytes = 1 << aw.size
+    for _ in range(written):
+        _push(port.w, WBeat(data=bytes(wbytes)))
+        sram._tick_write(0)
+    _push(port.w, WBeat(data=bytes(wbytes)))  # the next, non-last W beat
+    rd_rest = beat_addresses(ar)[rd_start:]
+    wr_rest = beat_addresses(aw)[min(written, aw.beats - 1):]
+    overlap = (min(rd_rest) < max(wr_rest) + wbytes
+               and min(wr_rest) < max(rd_rest) + (1 << ar.size))
+    offer = sram.span_offer(1, UNBOUNDED)
+    assert (offer is None) == overlap
+    if offer is not None:
+        assert len(offer.flows) == 2
