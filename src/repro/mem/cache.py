@@ -21,12 +21,6 @@ from repro.axi.types import BurstType, Resp, bytes_per_beat
 from repro.sim.kernel import Component, SimulationError
 from repro.sim.span import SpanOffer, produce
 
-# Per-beat paths compare these; a member lookup through the enum class
-# costs several times a module-global load.
-_OKAY = Resp.OKAY
-_SLVERR = Resp.SLVERR
-_INCR = BurstType.INCR
-
 
 class _Line:
     __slots__ = ("data", "dirty")
@@ -183,12 +177,9 @@ class CacheLLC(Component):
         self._now = cycle
         self._batch_mode = self._sim._batched
         self._front_accept()
-        try:
-            handler = self._HANDLERS[self._state]
-        except KeyError:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"unknown cache state {self._state!r}"
-            ) from None
+        handler = self._HANDLERS.get(self._state)
+        if handler is None:  # pragma: no cover - defensive
+            raise SimulationError(f"unknown cache state {self._state!r}")
         handler(self)
 
     def is_idle(self) -> bool:
@@ -356,7 +347,7 @@ class CacheLLC(Component):
         template_data = bytes(line.data[offset : offset + nbytes])
         # INCR beats after the first are back to back and never straddle
         # a line, so the rest of the window is checked once per line.
-        runs = txn.burst == _INCR and nbytes <= self.line_bytes
+        runs = txn.burst == BurstType.INCR and nbytes <= self.line_bytes
         if runs:
             horizon = self._run_horizon(index + 1, limit - 1, nbytes,
                                         template_data)
@@ -364,7 +355,7 @@ class CacheLLC(Component):
             horizon = self._beat_horizon(index + 1, limit - 1, nbytes,
                                          template_data)
         template = RBeat(
-            id=txn.id, data=template_data, resp=_OKAY, last=False,
+            id=txn.id, data=template_data, resp=Resp.OKAY, last=False,
             txn=txn.txn,
         )
 
@@ -464,7 +455,7 @@ class CacheLLC(Component):
         data = bytes(line.data[offset : offset + nbytes])
         last = self._index == beat.beats - 1
         self.front.r.send(
-            RBeat(id=beat.id, data=data, resp=_OKAY, last=last, txn=beat.txn)
+            RBeat(id=beat.id, data=data, resp=Resp.OKAY, last=last, txn=beat.txn)
         )
         self._index += 1
         if last:
@@ -513,7 +504,7 @@ class CacheLLC(Component):
     def _st_b_resp(self) -> None:
         if not self.front.b.can_send():
             return
-        resp = _SLVERR if self._w_error else _OKAY
+        resp = Resp.SLVERR if self._w_error else Resp.OKAY
         self.front.b.send(BBeat(id=self._txn.id, resp=resp, txn=self._txn.txn))
         self._state = "idle"
         self.writes_served += 1
@@ -592,17 +583,11 @@ class CacheLLC(Component):
                 self._state = self._resume
                 return
 
-    #: FSM state name -> handler, so a tick dispatches without building
-    #: the method name.
+    #: FSM state name -> handler, gathered from the ``_st_<state>``
+    #: methods above, so a tick dispatches without building the method
+    #: name and a new state needs only its method.
     _HANDLERS = {
-        "idle": _st_idle,
-        "latency": _st_latency,
-        "r_serve": _st_r_serve,
-        "w_collect": _st_w_collect,
-        "b_resp": _st_b_resp,
-        "wb_aw": _st_wb_aw,
-        "wb_w": _st_wb_w,
-        "wb_b": _st_wb_b,
-        "refill_ar": _st_refill_ar,
-        "refill_r": _st_refill_r,
+        name[len("_st_"):]: handler
+        for name, handler in list(locals().items())
+        if name.startswith("_st_")
     }

@@ -20,17 +20,6 @@ from repro.mem.backing import BackingStore
 from repro.sim.kernel import Component
 from repro.sim.span import UNBOUNDED, SpanOffer, consume, produce
 
-# Per-beat paths compare these; a member lookup through the enum class
-# costs several times a module-global load.
-_OKAY = Resp.OKAY
-_SLVERR = Resp.SLVERR
-_ATOP_NONE = AtomicOp.NONE
-_ATOP_COMPARE = AtomicOp.COMPARE
-_ATOP_STORE = AtomicOp.STORE
-_ATOP_LOAD = AtomicOp.LOAD
-_ATOP_SWAP = AtomicOp.SWAP
-_INCR = BurstType.INCR
-
 
 class SramMemory(Component):
     """Fixed-latency AXI subordinate backed by a byte array."""
@@ -183,7 +172,7 @@ class SramMemory(Component):
                 return None  # an AW would be accepted this cycle
         elif not self._wr_done:
             if port.w._queue:
-                if self._wr.atop != _ATOP_NONE:
+                if self._wr.atop != AtomicOp.NONE:
                     return None
                 w_template = port.w._queue[0]
                 if w_template.last:
@@ -239,9 +228,8 @@ class SramMemory(Component):
         in-range run without error, else a per-beat scan."""
         addrs = self._rd_addrs
         start = self._rd_index
-        if resp == _OKAY:
-            base = _run_base(addrs, start, limit, nbytes,
-                             self._rd.burst == _INCR)
+        if resp == Resp.OKAY:
+            base = _run_base(addrs, start, limit, nbytes)
             if base is not None:
                 try:
                     if self.store.read(base, limit * nbytes) == data * limit:
@@ -263,8 +251,7 @@ class SramMemory(Component):
         lanes = (1 << nbytes) - 1
         if not nbytes or (strb & lanes) != lanes:
             return False
-        base = _run_base(self._wr_addrs, start, n, nbytes,
-                         self._wr.burst == _INCR)
+        base = _run_base(self._wr_addrs, start, n, nbytes)
         if base is None:
             return False
         try:
@@ -277,12 +264,12 @@ class SramMemory(Component):
         """One R beat's payload and response, without side effects."""
         try:
             data = self.store.read(addr, nbytes)
-            resp = _OKAY
+            resp = Resp.OKAY
         except IndexError:
             data = bytes(nbytes)
-            resp = _SLVERR
+            resp = Resp.SLVERR
         if self._rd_error:
-            resp = _SLVERR
+            resp = Resp.SLVERR
         return data, resp
 
     # ------------------------------------------------------------------
@@ -324,12 +311,12 @@ class SramMemory(Component):
         nbytes = bytes_per_beat(beat.size)
         try:
             data = self.store.read(addr, nbytes)
-            resp = _OKAY
+            resp = Resp.OKAY
         except IndexError:
             data = bytes(nbytes)
-            resp = _SLVERR
+            resp = Resp.SLVERR
         if self._rd_error:
-            resp = _SLVERR
+            resp = Resp.SLVERR
         last = self._rd_index == beat.beats - 1
         self.port.r.send(
             RBeat(id=beat.id, data=data, resp=resp, last=last, txn=beat.txn)
@@ -364,7 +351,7 @@ class SramMemory(Component):
                 return
             wbeat = self.port.w.recv()
             addr = self._wr_addrs[min(self._wr_index, len(self._wr_addrs) - 1)]
-            if self._wr.atop != _ATOP_NONE:
+            if self._wr.atop != AtomicOp.NONE:
                 self._apply_atomic(addr, wbeat)
             elif wbeat.data is not None:
                 try:
@@ -385,7 +372,7 @@ class SramMemory(Component):
             return
         if not self.port.b.can_send():
             return
-        resp = _SLVERR if self._wr_error else _OKAY
+        resp = Resp.SLVERR if self._wr_error else Resp.OKAY
         self.port.b.send(BBeat(id=self._wr.id, resp=resp, txn=self._wr.txn))
         self.writes_served += 1
         self._wr = None
@@ -403,7 +390,7 @@ class SramMemory(Component):
         """
         nbytes = len(wbeat.data) if wbeat.data else 8
         op = self._wr.atop
-        if op == _ATOP_COMPARE or wbeat.data is None:
+        if op == AtomicOp.COMPARE or wbeat.data is None:
             self._wr_error = True
             return
         try:
@@ -414,15 +401,15 @@ class SramMemory(Component):
         operand = int.from_bytes(wbeat.data, "little")
         old_value = int.from_bytes(old, "little")
         mask = (1 << (8 * nbytes)) - 1
-        if op in (_ATOP_STORE, _ATOP_LOAD):
+        if op in (AtomicOp.STORE, AtomicOp.LOAD):
             new_value = (old_value + operand) & mask
         else:  # SWAP
             new_value = operand
         self.store.write(addr, new_value.to_bytes(nbytes, "little"))
         self.atomics_served += 1
-        if op in (_ATOP_LOAD, _ATOP_SWAP):
+        if op in (AtomicOp.LOAD, AtomicOp.SWAP):
             self._atomic_r = RBeat(
-                id=self._wr.id, data=old, resp=_OKAY, last=True,
+                id=self._wr.id, data=old, resp=Resp.OKAY, last=True,
                 txn=self._wr.txn,
             )
 
@@ -433,32 +420,30 @@ def _extent(
     """Lowest and highest of the non-empty ``addrs[start:]``.  INCR
     addresses rise from the first beat to the last, so their ends bound
     them without a scan."""
-    if beat.burst == _INCR:
+    if beat.burst == BurstType.INCR:
         return addrs[start], addrs[-1]
     rest = addrs[start:]
     return min(rest), max(rest)
 
 
 def _run_base(
-    addrs: list[int], start: int, count: int, stride: int, incr: bool
+    addrs: list[int], start: int, count: int, stride: int
 ) -> Optional[int]:
     """First address of ``addrs[start:start + count]`` if those beats are
-    back to back, *stride* bytes apart, else ``None``.  An *incr* list is
-    affine from its second beat, so its window is a run exactly when the
-    first step and the span from the first to the last address agree
-    with *stride*."""
+    back to back, *stride* bytes apart, else ``None``.
+
+    Every step of a burst's address list has the same size (the beat
+    width for INCR and WRAP, 0 for FIXED) except at most one: an INCR
+    burst's first, from an unaligned start, or a WRAP burst's jump back
+    to its container's base.  So the window is a run exactly when its
+    first step and the distance from its first to its last address agree
+    with *stride*: a backward WRAP jump makes that distance too short."""
     if start + count > len(addrs):
         return None
     base = addrs[start]
-    if incr:
-        if count > 1 and (
-            addrs[start + 1] - base != stride
-            or addrs[start + count - 1] - base != (count - 1) * stride
-        ):
-            return None
-        return base
-    if addrs[start : start + count] != list(
-        range(base, base + count * stride, stride)
+    if count > 1 and (
+        addrs[start + 1] - base != stride
+        or addrs[start + count - 1] - base != (count - 1) * stride
     ):
         return None
     return base

@@ -1,5 +1,7 @@
 """Unit tests for the SRAM model (driven directly, no crossbar)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,21 +271,30 @@ def test_span_read_offer_equals_per_beat_reads(case, data):
     assert offer.horizon == horizon
 
 
+@pytest.mark.parametrize("burst", list(BurstType))
 @pytest.mark.parametrize("axsize", range(4))
-def test_incr_run_test_matches_the_full_window(axsize):
-    """The INCR contiguity test reads two steps of the window; it agrees
-    with comparing the whole window, for every unaligned start, window
-    and stride (W data may be narrower or wider than the beat)."""
+def test_run_test_matches_the_full_window(axsize, burst):
+    """The contiguity test reads three addresses of the window; it agrees
+    with comparing the whole window against a run, for every start
+    (unaligned INCR and WRAP starts included), burst length, window and
+    stride (W data may be narrower or wider than the beat)."""
     nbytes = 1 << axsize
+    lengths = [2, 4, 8, 16] if burst == BurstType.WRAP else range(1, 7)
     for skew in range(nbytes):
-        for beats in range(1, 7):
-            addrs = beat_addresses(ARBeat(id=0, addr=0x100 + skew,
-                                          beats=beats, size=axsize))
-            for start in range(beats):
-                for count in range(1, beats - start + 1):
-                    for stride in range(1, 2 * nbytes + 1):
-                        assert _run_base(addrs, start, count, stride, True) \
-                            == _run_base(addrs, start, count, stride, False)
+        for beats in lengths:
+            for offset in range(0, beats * nbytes, nbytes):
+                addrs = beat_addresses(ARBeat(
+                    id=0, addr=0x100 + offset + skew, beats=beats,
+                    size=axsize, burst=burst,
+                ))
+                for start, count, stride in itertools.product(
+                    range(beats), range(1, beats + 1), range(1, 2 * nbytes + 1)
+                ):
+                    window = addrs[start : start + count]
+                    run = list(range(window[0], window[0] + count * stride,
+                                     stride))
+                    expected = window[0] if window == run else None
+                    assert _run_base(addrs, start, count, stride) == expected
 
 
 _PAIRED_KINDS = ("incr", "incr-unaligned", "wrap", "fixed")
