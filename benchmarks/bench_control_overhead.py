@@ -24,11 +24,10 @@ interference on a shared machine is bursty upper-tail noise the median
 drops, and interleaving spreads both populations evenly across any
 slow drift; the quads' drift-cancelled ``(v1+v2)/(b1+b2)`` ratios ride
 along in the payload as a second opinion.
-The smoke assertions bound the unconfigured overhead, the
-served-but-unwatched telemetry overhead, AND the recorder-attached
-overhead at <2 % each; the script appends the datapoint to
-``BENCH_control.json`` (the pytest entry point writes it under its
-``tmp_path``, leaving the tracked history alone).
+The script appends the datapoint to ``BENCH_control.json`` and fails
+(exit 1) unless the unconfigured overhead, the served-but-unwatched
+telemetry overhead, AND the recorder-attached overhead are each under
+2 %.
 
 Run:  python benchmarks/bench_control_overhead.py [output.json]
 """
@@ -37,16 +36,25 @@ from __future__ import annotations
 
 import gc
 import json
-import platform
 import sys
 import time
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _bench_utils import emit  # noqa: E402
+from _bench_utils import (  # noqa: E402
+    append_history,
+    best_of,
+    host_info,
+    time_variants,
+)
+from repro.obs import FlightRecorder  # noqa: E402
 from repro.realm import RegionConfig  # noqa: E402
 from repro.system import SystemBuilder  # noqa: E402
+from repro.telemetry import TelemetryServer  # noqa: E402
 from repro.traffic import BandwidthHog, DmaEngine  # noqa: E402
 
 # Sized so each measured run is a couple hundred milliseconds — long
@@ -60,6 +68,9 @@ ROUNDS = 9
 GATE_ATTEMPTS = 3
 OVERHEAD_LIMIT_PERCENT = 2.0
 SAMPLER_EVERY = 200
+# Payload names of the variants: the baseline, and the three gated ones.
+BASELINE = "no_control"
+GATED = ("unconfigured", "served", "recorded")
 
 
 def _build(control: bool):
@@ -83,8 +94,6 @@ def _build(control: bool):
 
 def _run_once(control: bool, sampler: bool, server=None,
               recorder: bool = False) -> tuple[float, int]:
-    from contextlib import nullcontext
-
     system = _build(control)
     if sampler:
         system.control.sampler(
@@ -95,8 +104,6 @@ def _run_once(control: bool, sampler: bool, server=None,
         # Flight recorder attached, journal disabled — the step body's
         # observation points live (wake-cause attribution, occupancy,
         # sampled phase and tick timing), i.e. what `--profile` pays.
-        from repro.obs import FlightRecorder
-
         FlightRecorder().attach(system.sim)
     live = nullcontext()
     if server is not None:
@@ -121,57 +128,37 @@ def _run_once(control: bool, sampler: bool, server=None,
 
 
 def measure() -> dict:
-    from statistics import median
-
-    from repro.telemetry import TelemetryServer
-
     server = TelemetryServer()
     server.start()
-    best = {"off": float("inf"), "on": float("inf"),
-            "served": float("inf"), "recorded": float("inf"),
-            "sampled": float("inf")}
-    samples = {"off": [], "on": [], "served": [], "recorded": [],
-               "sampled": []}
-    ratios = {"on": [], "served": [], "recorded": [], "sampled": []}
-    ticks = {}
-    variants = (
-        ("off", False, False, None, False),
-        ("on", True, False, None, False),
-        ("served", True, False, server, False),
-        ("recorded", False, False, None, True),
-        ("sampled", True, True, None, False),
-    )
+    variants = {
+        BASELINE: partial(_run_once, False, False),
+        "unconfigured": partial(_run_once, True, False),
+        "served": partial(_run_once, True, False, server),
+        "recorded": partial(_run_once, False, False, recorder=True),
+        "sampled": partial(_run_once, True, True),
+    }
+    # Interleaved so no variant owns the warm caches.  Each variant's
+    # ratio comes from an ABBA quad — baseline, variant, variant,
+    # baseline, back to back — so any drift that is linear across the
+    # quad (CPU frequency decay, thermal ramp) cancels exactly from
+    # (v1+v2)/(b1+b2); a single shared baseline per round would bias
+    # the later variants by whatever the clock did in between.
+    quads = [(key, variants[key]) for name in variants if name != BASELINE
+             for key in (BASELINE, name, name, BASELINE)]
     try:
-        for key, control, sampler, srv, rec in variants:  # warm-up
-            _run_once(control, sampler, srv, rec)
-        for _ in range(ROUNDS):
-            # Interleaved so no variant owns the warm caches.  Each
-            # variant's ratio comes from an ABBA quad — baseline,
-            # variant, variant, baseline, back to back — so any drift
-            # that is linear across the quad (CPU frequency decay,
-            # thermal ramp) cancels exactly from (v1+v2)/(b1+b2); a
-            # single shared baseline per round would bias the later
-            # variants by whatever the clock did in between.
-            for key, control, sampler, srv, rec in variants:
-                if key == "off":
-                    continue
-                b1, executed_off = _run_once(False, False, None)
-                v1, executed = _run_once(control, sampler, srv, rec)
-                v2, _ = _run_once(control, sampler, srv, rec)
-                b2, _ = _run_once(False, False, None)
-                best["off"] = min(best["off"], b1, b2)
-                best[key] = min(best[key], v1, v2)
-                ticks["off"] = executed_off
-                ticks[key] = executed
-                samples["off"].extend((b1, b2))
-                samples[key].extend((v1, v2))
-                ratios[key].append((v1 + v2) / (b1 + b2))
+        time_variants(list(variants.items()), own_clock=True)  # warm-up
+        samples = time_variants(quads, ROUNDS, own_clock=True)
     finally:
         server.stop()
-    assert (ticks["off"] == ticks["on"] == ticks["served"]
-            == ticks["recorded"] == ticks["sampled"]), (
+    assert len({sample.value for sample in samples}) == 1, (
         "the control plane changed scheduling on an identical workload"
     )
+    best = best_of(samples)
+    quad_ratios: dict[str, list[float]] = {}
+    for i in range(0, len(samples), 4):
+        b1, v1, v2, b2 = samples[i:i + 4]
+        quad_ratios.setdefault(v1.key, []).append(
+            (v1.seconds + v2.seconds) / (b1.seconds + b2.seconds))
     # Gate on the ratio of pooled medians.  Interference on a shared
     # machine is bursty — upper-tail outliers the median simply drops —
     # and unlike a best-of (whose expected minimum falls with sample
@@ -179,48 +166,36 @@ def measure() -> dict:
     # count-unbiased, so pooling every baseline run from every quad
     # only tightens it.  The per-quad ABBA ratios ride along in the
     # payload as a drift-cancelled second opinion.
-    overhead = 100.0 * (median(samples["on"]) / median(samples["off"]) - 1.0)
-    served_overhead = 100.0 * (
-        median(samples["served"]) / median(samples["off"]) - 1.0)
-    recorded_overhead = 100.0 * (
-        median(samples["recorded"]) / median(samples["off"]) - 1.0)
-    sampled_overhead = 100.0 * (
-        median(samples["sampled"]) / median(samples["off"]) - 1.0)
-    return {
+    pooled = {
+        name: median(s.seconds for s in samples if s.key == name)
+        for name in variants
+    }
+    payload = {
         "benchmark": "control_overhead/streaming_hot_path",
-        "python": platform.python_version(),
+        "python": host_info()["python"],
         "workload": {
             "cycles": CYCLES,
             "rounds": ROUNDS,
-            "ticks_executed": ticks["off"],
+            "ticks_executed": samples[0].value,
             "sampler_every": SAMPLER_EVERY,
         },
-        "no_control_seconds": round(best["off"], 5),
-        "unconfigured_seconds": round(best["on"], 5),
-        "served_seconds": round(best["served"], 5),
-        "recorded_seconds": round(best["recorded"], 5),
-        "sampled_seconds": round(best["sampled"], 5),
-        "unconfigured_overhead_percent": round(overhead, 3),
-        "served_overhead_percent": round(served_overhead, 3),
-        "recorded_overhead_percent": round(recorded_overhead, 3),
-        "sampled_overhead_percent": round(sampled_overhead, 3),
-        "unconfigured_overhead_median_percent": round(
-            100.0 * (median(ratios["on"]) - 1.0), 3),
-        "served_overhead_median_percent": round(
-            100.0 * (median(ratios["served"]) - 1.0), 3),
-        "recorded_overhead_median_percent": round(
-            100.0 * (median(ratios["recorded"]) - 1.0), 3),
-        "sampled_overhead_median_percent": round(
-            100.0 * (median(ratios["sampled"]) - 1.0), 3),
-        "limit_percent": OVERHEAD_LIMIT_PERCENT,
     }
+    for name in variants:
+        payload[f"{name}_seconds"] = round(best[name], 5)
+    for name in quad_ratios:
+        payload[f"{name}_overhead_percent"] = round(
+            100.0 * (pooled[name] / pooled[BASELINE] - 1.0), 3)
+    for name, ratios in quad_ratios.items():
+        payload[f"{name}_overhead_median_percent"] = round(
+            100.0 * (median(ratios) - 1.0), 3)
+    payload["limit_percent"] = OVERHEAD_LIMIT_PERCENT
+    return payload
 
 
-def _gates_pass(payload: dict) -> bool:
-    return (payload["unconfigured_overhead_percent"] < OVERHEAD_LIMIT_PERCENT
-            and payload["served_overhead_percent"] < OVERHEAD_LIMIT_PERCENT
-            and payload["recorded_overhead_percent"]
-            < OVERHEAD_LIMIT_PERCENT)
+def _failures(payload: dict) -> list[str]:
+    """The gated variants at or over the limit."""
+    return [name for name in GATED
+            if payload[f"{name}_overhead_percent"] >= OVERHEAD_LIMIT_PERCENT]
 
 
 def _measure_in_subprocess() -> dict:
@@ -262,55 +237,11 @@ def measure_gated() -> dict:
     payload = measure()
     payload["gate_attempt"] = 1
     for attempt in range(2, GATE_ATTEMPTS + 1):
-        if _gates_pass(payload):
+        if not _failures(payload):
             break
         payload = _measure_in_subprocess()
         payload["gate_attempt"] = attempt
     return payload
-
-
-def _append(path, payload: dict) -> None:
-    history = []
-    file = Path(path)
-    if file.exists():
-        history = json.loads(file.read_text(encoding="utf-8"))
-    history.append(payload)
-    file.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-
-
-def test_control_plane_hot_path_overhead(tmp_path):
-    payload = measure_gated()
-    emit(
-        "Control plane — hot-path overhead (streaming, no idle stretches)",
-        [
-            f"no control plane     : {payload['no_control_seconds']:.5f} s",
-            f"unconfigured control : {payload['unconfigured_seconds']:.5f} s "
-            f"({payload['unconfigured_overhead_percent']:+.2f} %)",
-            f"telemetry, unwatched : {payload['served_seconds']:.5f} s "
-            f"({payload['served_overhead_percent']:+.2f} %)",
-            f"flight recorder      : {payload['recorded_seconds']:.5f} s "
-            f"({payload['recorded_overhead_percent']:+.2f} %)",
-            f"with {CYCLES // SAMPLER_EVERY}-sample probe series  : "
-            f"{payload['sampled_seconds']:.5f} s "
-            f"({payload['sampled_overhead_percent']:+.2f} %)",
-        ],
-    )
-    _append(tmp_path / "BENCH_control.json", payload)
-    assert payload["unconfigured_overhead_percent"] < OVERHEAD_LIMIT_PERCENT, (
-        "unconfigured control plane taxes the tick hot path: "
-        f"{payload['unconfigured_overhead_percent']:.2f}% "
-        f">= {OVERHEAD_LIMIT_PERCENT}%"
-    )
-    assert payload["served_overhead_percent"] < OVERHEAD_LIMIT_PERCENT, (
-        "an unwatched telemetry server taxes the tick hot path: "
-        f"{payload['served_overhead_percent']:.2f}% "
-        f">= {OVERHEAD_LIMIT_PERCENT}%"
-    )
-    assert payload["recorded_overhead_percent"] < OVERHEAD_LIMIT_PERCENT, (
-        "an attached flight recorder (journal off) taxes the tick hot "
-        f"path: {payload['recorded_overhead_percent']:.2f}% "
-        f">= {OVERHEAD_LIMIT_PERCENT}%"
-    )
 
 
 def main(argv: list[str]) -> int:
@@ -323,18 +254,14 @@ def main(argv: list[str]) -> int:
         return 0
     out_path = argv[1] if len(argv) > 1 else "BENCH_control.json"
     payload = measure_gated()
-    _append(out_path, payload)
+    append_history(out_path, payload)
     print(json.dumps(payload, indent=2))
-    if payload["unconfigured_overhead_percent"] >= OVERHEAD_LIMIT_PERCENT:
-        print(f"FATAL: overhead exceeds {OVERHEAD_LIMIT_PERCENT}%")
-        return 1
-    if payload["served_overhead_percent"] >= OVERHEAD_LIMIT_PERCENT:
-        print(f"FATAL: telemetry overhead exceeds {OVERHEAD_LIMIT_PERCENT}%")
-        return 1
-    if payload["recorded_overhead_percent"] >= OVERHEAD_LIMIT_PERCENT:
-        print(f"FATAL: recorder overhead exceeds {OVERHEAD_LIMIT_PERCENT}%")
-        return 1
-    return 0
+    failures = _failures(payload)
+    for name in failures:
+        print(f"FATAL: {name} overhead "
+              f"{payload[f'{name}_overhead_percent']:+.2f}% is not under "
+              f"{OVERHEAD_LIMIT_PERCENT}%")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,75 +6,60 @@ on streaming-heavy ones — no component is ever idle, so every beat still
 crosses every hop one tick at a time.  The batched datapath (express
 burst forwarding in the crossbar, activity-scoped NoC routing,
 event-driven memory latency, batch channel drains) attacks exactly that
-regime.  This bench runs the two streaming-heavy shipped scenarios at
+regime.  This bench runs the streaming-heavy shipped scenarios at
 smoke scale on both datapaths — interleaved, best of *ROUNDS* — and
 reports wall-clock throughput in simulated cycles (ticks) per second.
 
 The appended ``BENCH_datapath.json`` entry records per-scenario speedups;
-``check_datapath_regression.py`` gates CI on them.  The gate compares
-speedup *ratios*, not absolute ticks/sec, so datapoints from different
-machines stay comparable.
+``check_regression.py`` gates CI on them (drift and floors).  The gate
+compares speedup *ratios*, not absolute ticks/sec, so datapoints from
+different machines stay comparable.
 
 Run:  python benchmarks/bench_streaming_throughput.py [output.json]
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import platform
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _bench_utils import emit  # noqa: E402
+from _bench_utils import (  # noqa: E402
+    SCENARIO_DIR,
+    append_history,
+    best_of,
+    host_info,
+    time_variants,
+)
 from repro.scenario import load_file, run_campaign  # noqa: E402
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = ("fig6a", "noc_hog", "stream_steady")
 ROUNDS = 3
-# The bench-smoke assertion: the batched datapath must beat the per-beat
-# reference by at least this factor on the best streaming scenario.  Set
-# below the recorded datapoints (~3x NoC, ~3.4x span-replay streaming)
-# to keep CI robust against noisy runners; the regression gate guards
-# the rest.
-MIN_BEST_SPEEDUP = 2.0
-
-
-def _time_campaign(spec, batched: bool) -> tuple[float, int]:
-    gc.collect()
-    t0 = time.perf_counter()
-    result = run_campaign(spec, smoke=True, batched=batched)
-    elapsed = time.perf_counter() - t0
-    cycles = sum(point.sim_cycles for point in result.points)
-    return elapsed, cycles
 
 
 def measure() -> dict:
-    payload: dict = {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "rounds": ROUNDS,
-        "scenarios": {},
-    }
+    payload: dict = {**host_info(), "rounds": ROUNDS, "scenarios": {}}
     for name in SCENARIOS:
         spec = load_file(SCENARIO_DIR / f"{name}.toml")
-        best = {False: float("inf"), True: float("inf")}
-        counted = {}
-        cycles = 0
-        for _ in range(ROUNDS):
-            # Interleave the variants so both see the same machine state.
-            for batched in (False, True):
-                elapsed, cycles = _time_campaign(spec, batched)
-                best[batched] = min(best[batched], elapsed)
-                counted[batched] = cycles
+        samples = time_variants([
+            (batched, partial(run_campaign, spec, smoke=True,
+                              batched=batched))
+            for batched in (False, True)
+        ], ROUNDS)
+        best = best_of(samples)
+        counted = {
+            sample.key: sum(point.sim_cycles for point in sample.value.points)
+            for sample in samples
+        }
         assert counted[False] == counted[True], (
             f"{name}: batched datapath diverged from the per-beat "
             f"reference ({counted[True]} vs {counted[False]} cycles) — "
             "throughput numbers would compare different workloads"
         )
+        cycles = counted[True]
         payload["scenarios"][name] = {
             "simulated_cycles": cycles,
             "per_beat_seconds": round(best[False], 5),
@@ -89,46 +74,11 @@ def measure() -> dict:
     return payload
 
 
-def _append(path, payload: dict) -> None:
-    file = Path(path)
-    history: list = []
-    if file.exists():
-        history = json.loads(file.read_text(encoding="utf-8"))
-    history.append(payload)
-    file.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-
-
-def _emit(payload: dict) -> None:
-    lines = []
-    for name, entry in payload["scenarios"].items():
-        lines.append(
-            f"{name:<12} per-beat {entry['per_beat_ticks_per_second']:>10,.0f}"
-            f" ticks/s   batched {entry['batched_ticks_per_second']:>10,.0f}"
-            f" ticks/s   speedup {entry['speedup']:.2f}x"
-        )
-    lines.append(f"best speedup: {payload['best_speedup']:.2f}x")
-    emit("Batched datapath — streaming throughput (smoke scale)", lines)
-
-
-def test_streaming_throughput_datapoint(tmp_path):
-    payload = measure()
-    _emit(payload)
-    _append(tmp_path / "BENCH_datapath.json", payload)
-    assert payload["best_speedup"] >= MIN_BEST_SPEEDUP, (
-        "batched datapath no longer pays for itself on streaming "
-        f"scenarios: best speedup {payload['best_speedup']:.2f}x "
-        f"< {MIN_BEST_SPEEDUP}x"
-    )
-
-
 def main(argv: list[str]) -> int:
     out_path = argv[1] if len(argv) > 1 else "BENCH_datapath.json"
     payload = measure()
-    _append(out_path, payload)
+    append_history(out_path, payload)
     print(json.dumps(payload, indent=2))
-    if payload["best_speedup"] < MIN_BEST_SPEEDUP:
-        print(f"FATAL: best speedup below {MIN_BEST_SPEEDUP}x")
-        return 1
     return 0
 
 

@@ -1,9 +1,15 @@
 """Shared set-up for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one table or figure of the paper.  The
-pytest-benchmark plugin times the underlying simulation; the printed rows
-are the reproduction artefact (compare against the paper's tables and
-figures; each bench asserts the trends they show).
+Each ``bench_*.py`` with a ``test_*`` function regenerates one table or
+figure of the paper (twelve in all).  The pytest-benchmark plugin times
+the underlying simulation; the printed rows are the reproduction
+artefact (compare against the paper's tables and figures; each bench
+asserts the trends they show).
+
+The performance datapoints are scripts with no pytest entry, each run
+once: ``kernel_speed.py``, ``bench_streaming_throughput.py``,
+``bench_fork_sweep.py`` and ``bench_control_overhead.py``, judged by
+``check_regression.py`` where they append to a tracked history.
 
 Importable helpers live in ``_bench_utils.py`` (a conftest must never be
 imported by name — it would shadow the test suite's conftest).

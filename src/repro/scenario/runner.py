@@ -298,8 +298,8 @@ def _install_rule(path: str, install: Callable[[], Any]) -> Any:
 
 
 def _advisor_loop(control, advise, path: str):
-    # Imported lazily: repro.analysis pulls in the experiment preset,
-    # which itself imports this package.
+    # A local import beside its one use.  It loads nothing new: the
+    # `repro` package and report.py import repro.analysis already.
     from repro.analysis.advisor import AdvisorLoop
 
     try:
