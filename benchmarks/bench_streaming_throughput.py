@@ -4,9 +4,10 @@
 The active-set kernel (PR 1) wins on idle-heavy workloads but is near-1x
 on streaming-heavy ones — no component is ever idle, so every beat still
 crosses every hop one tick at a time.  The batched datapath (express
-burst forwarding in the crossbar, activity-scoped NoC routing,
-event-driven memory latency, batch channel drains) attacks exactly that
-regime.  This bench runs the streaming-heavy shipped scenarios at
+burst forwarding in the crossbar, activity-scoped NoC routing, batch
+channel drains) attacks exactly that regime.  Memory latency and sleep
+rules are the same on both datapaths, so the comparison isolates the
+transport.  This bench runs the streaming-heavy shipped scenarios at
 smoke scale on both datapaths — interleaved, best of *ROUNDS* — and
 reports wall-clock throughput in simulated cycles (ticks) per second.
 

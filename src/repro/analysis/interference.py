@@ -4,9 +4,9 @@ The paper extends SafeSU-style inter-core interference tracking to
 heterogeneous managers: "reading the evolution of the latency from all
 managers' M&R units and analyzing their statistics provides a full view of
 the memory system's congestion."  This module implements that analysis: a
-simulator watcher samples every REALM unit's per-cycle M&R activity flags
-and accumulates a matrix of *victim stalled while aggressor transferring*
-cycles.
+chain of commit-boundary hooks samples every REALM unit's per-cycle M&R
+activity flags and accumulates a matrix of *victim stalled while aggressor
+transferring* cycles.
 """
 
 from __future__ import annotations
@@ -50,19 +50,27 @@ class InterferenceMatrix:
 
 
 class SystemInterferenceMonitor:
-    """Watcher that samples all REALM units every cycle.
+    """Samples all REALM units at every commit boundary.
 
     Register on a simulator *after* building the SoC::
 
         monitor = SystemInterferenceMonitor(sim, soc.realm_units)
+
+    Each sample re-arms a transient hook
+    (:meth:`~repro.sim.Simulator.call_at_transient`) for the next cycle,
+    as the telemetry tap does, so the monitor observes execution without
+    becoming simulated state.  A snapshot restore drops the chain: a
+    restored simulator is sampled only by a monitor attached afterwards.
     """
 
     def __init__(self, sim: Simulator, units: dict[str, RealmUnit]) -> None:
         self.units = units
         self.matrix = InterferenceMatrix(list(units.keys()))
-        sim.add_watcher(self._sample)
+        self._sim = sim
+        sim.call_at_transient(sim.cycle, self._sample)
 
     def _sample(self, cycle: int) -> None:
+        self._sim.call_at_transient(cycle + 1, self._sample)
         # A manager is interfered with when it is denied by regulation OR
         # is waiting on outstanding transactions without any beat moving.
         stalled = [

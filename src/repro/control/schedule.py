@@ -2,9 +2,9 @@
 
 Rules fire at *commit boundaries* via the kernel's hook heap
 (:meth:`repro.sim.Simulator.call_at`), the instant after a cycle's channel
-commits and watchers when all state is final — so a rule observes and
-mutates exactly the same machine state on the active-set and the naive
-kernel, and scheduled runs stay bit-identical across both (and across the
+commits when all state is final — so a rule observes and mutates exactly
+the same machine state on the active-set and the naive kernel, and
+scheduled runs stay bit-identical across both (and across the
 process-pool campaign fan-out).  Three trigger shapes:
 
 * ``at(cycle)``         — one-shot;

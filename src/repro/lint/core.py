@@ -14,7 +14,8 @@ Suppression grammar (comments)::
 
 A missing reason or unknown directive is reported as a
 ``bad-suppression`` finding — suppressions are part of the audited
-surface, not an escape hatch.
+surface, not an escape hatch.  So is a suppression that silenced no
+finding although every rule it names ran: a stale one cannot linger.
 
 Fixture files under ``tests/lint_fixtures/`` opt into package-scoped
 rules with a location pragma::
@@ -74,6 +75,8 @@ _DIRECTIVE_RE = re.compile(r"#\s*repro:\s*lint-(?!ok\[|treat-as\b)")
 
 @dataclass
 class _Suppression:
+    row: int             # where the comment is
+    col: int
     line: int            # line the suppression covers
     rules: tuple[str, ...]
     reason: str
@@ -103,6 +106,17 @@ class ModuleInfo:
                 sup.used = True
                 return True
         return False
+
+    def stale_suppressions(self, ran: set[str]) -> list[Finding]:
+        """A ``bad-suppression`` finding for each suppression that
+        silenced nothing although every rule it names ran."""
+        return [
+            Finding(self.path, sup.row, sup.col, "bad-suppression",
+                    f"suppression of [{', '.join(sup.rules)}] silences "
+                    "no finding")
+            for sup in self.suppressions
+            if not sup.used and ran.issuperset(sup.rules)
+        ]
 
 
 class Rule:
@@ -183,7 +197,9 @@ def _scan_comments(
                     or lines[covered - 1].lstrip().startswith("#")
                 ):
                     covered += 1
-            suppressions.append(_Suppression(covered, rules, reason))
+            suppressions.append(
+                _Suppression(row, col, covered, rules, reason)
+            )
             continue
         if _DIRECTIVE_RE.search(text):
             findings.append(Finding(
@@ -247,10 +263,12 @@ def iter_python_files(paths: Iterable[str]) -> list[Path]:
 def lint_modules(
     modules: Sequence[ModuleInfo], rules: Sequence[Rule]
 ) -> list[Finding]:
-    """Run *rules* over parsed *modules*; returns unsuppressed findings
+    """Run *rules* over parsed *modules*; returns unsuppressed findings,
+    and the suppressions whose rules all ran but silenced nothing,
     sorted by location."""
     for rule in rules:
         rule.prepare(modules)
+    ran = {rule.id for rule in rules}
     findings: list[Finding] = []
     for module in modules:
         findings.extend(module.directive_findings)
@@ -258,6 +276,7 @@ def lint_modules(
             for finding in rule.check(module):
                 if not module.suppressed(finding):
                     findings.append(finding)
+        findings.extend(module.stale_suppressions(ran))
     return sorted(findings)
 
 

@@ -34,9 +34,9 @@ class CacheLLC(Component):
     """Blocking write-back LLC between the crossbar and the DRAM."""
 
     _STATE_FIELDS = (
-        "_sets", "_state", "_txn", "_is_read", "_addrs", "_index", "_wait",
+        "_sets", "_state", "_txn", "_is_read", "_addrs", "_index",
         "_latency_ready", "_resume", "_rr_read_first", "_staged",
-        "_staged_is_read", "_staged_wait", "_staged_ready", "_now",
+        "_staged_is_read", "_staged_ready", "_now",
         "_wb_addr", "_wb_widx", "_refill_addr", "_refill_buf",
         "_pending_wbeat", "_w_error", "_after_refill", "hits", "misses",
         "writebacks", "refills", "reads_served", "writes_served",
@@ -82,8 +82,7 @@ class CacheLLC(Component):
         self._is_read = True
         self._addrs: list[int] = []
         self._index = 0
-        self._wait = 0
-        self._latency_ready = 0  # batched: first-serve cycle
+        self._latency_ready = 0  # first-serve cycle
         self._resume = "idle"
         self._rr_read_first = True
         # Front-end staging: the next transaction is accepted and its tag
@@ -91,10 +90,8 @@ class CacheLLC(Component):
         # back-to-back short transactions are served without dead cycles.
         self._staged: Optional[ARBeat | AWBeat] = None
         self._staged_is_read = True
-        self._staged_wait = 0
-        self._staged_ready = 0  # batched: lookup-complete cycle
+        self._staged_ready = 0  # lookup-complete cycle
         self._now = 0
-        self._batch_mode = False  # repro: lint-ok[snapshot-coverage] recomputed from the kernel's datapath mode every tick
         # Miss-handling scratch.
         self._wb_addr = 0
         # repro: lint-ok[snapshot-coverage] captured as the 'wb_live' flag; restore re-aliases the resident set entry (see state_capture)
@@ -175,7 +172,6 @@ class CacheLLC(Component):
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         self._now = cycle
-        self._batch_mode = self._sim._batched
         self._front_accept()
         handler = self._HANDLERS.get(self._state)
         if handler is None:  # pragma: no cover - defensive
@@ -183,16 +179,6 @@ class CacheLLC(Component):
         handler(self)
 
     def is_idle(self) -> bool:
-        if not self._batch_mode:
-            return (
-                self._state == "idle"
-                and self._staged is None
-                and not self.front.ar.can_recv()
-                and not self.front.aw.can_recv()
-            )
-        return self._is_idle_batched()
-
-    def _is_idle_batched(self) -> bool:
         """Blocked-state sleeping: every FSM state whose tick is provably
         a no-op until a channel event (or the scheduled lookup completion)
         lets the cache leave the active set."""
@@ -237,8 +223,6 @@ class CacheLLC(Component):
         """Stage the next front transaction and run its lookup latency in
         parallel with the current transaction."""
         if self._staged is not None:
-            if not self._batch_mode and self._staged_wait > 0:
-                self._staged_wait -= 1
             return
         want_read = self.front.ar.can_recv()
         want_write = self.front.aw.can_recv()
@@ -250,7 +234,6 @@ class CacheLLC(Component):
             self.front.ar.recv() if take_read else self.front.aw.recv()
         )
         self._staged_is_read = take_read
-        self._staged_wait = self.hit_latency
         self._staged_ready = self._now + self.hit_latency
 
     # ------------------------------------------------------------------
@@ -281,30 +264,20 @@ class CacheLLC(Component):
         self._staged = None
         self._addrs = beat_addresses(self._txn)
         self._index = 0
-        if self._batch_mode:
-            self._wait = max(0, self._staged_ready - self._now)
-        else:
-            self._wait = self._staged_wait
-        self._latency_ready = self._now + self._wait
+        self._latency_ready = max(self._now, self._staged_ready)
         self._w_error = False
-        self._state = "latency"
-        if self._wait == 0:
+        if self._latency_ready > self._now:
+            self._state = "latency"
+        else:
             # Lookup already completed while the previous transaction was
             # streaming: start serving on the next handler dispatch.
             self._state = "r_serve" if self._is_read else "w_collect"
 
     def _st_latency(self) -> None:
-        if self._batch_mode:
-            if self._now < self._latency_ready:
-                return
-            self._state = "r_serve" if self._is_read else "w_collect"
-            self.tick_current()
+        if self._now < self._latency_ready:
             return
-        if self._wait > 0:
-            self._wait -= 1
-        if self._wait == 0:
-            self._state = "r_serve" if self._is_read else "w_collect"
-            self.tick_current()
+        self._state = "r_serve" if self._is_read else "w_collect"
+        self.tick_current()
 
     def tick_current(self) -> None:
         """Re-dispatch after a same-cycle state change (keeps hit streaming

@@ -71,12 +71,11 @@ class DramModel(Component):
         self._beat: Optional[ARBeat | AWBeat] = None
         self._addrs: list[int] = []
         self._index = 0
-        self._wait = 0
-        self._ready = 0  # batched: event-driven completion cycle
+        self._wait = 0  # the burst's access latency
+        self._ready = 0  # first-serve (read) or B-response (write) cycle
         self._w_done = False
         self._w_error = False
         self._rr_read_first = True  # alternate read/write service
-        self._batch_mode = False  # repro: lint-ok[snapshot-coverage] recomputed from the kernel's datapath mode every tick
 
         # Statistics.
         self.row_hits = 0
@@ -104,7 +103,6 @@ class DramModel(Component):
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        self._batch_mode = self._sim._batched
         if self._kind is None:
             self._accept(cycle)
             return
@@ -114,14 +112,8 @@ class DramModel(Component):
             self._serve_write(cycle)
 
     def is_idle(self) -> bool:
-        if not self._batch_mode:
-            return (
-                self._kind is None
-                and not self.port.ar.can_recv()
-                and not self.port.aw.can_recv()
-            )
-        # Batched: the access-latency countdown is event-driven, so the
-        # controller sleeps through it (and through blocked channels).
+        # The controller sleeps through the access latency until the
+        # ready cycle, and through blocked channels.
         port = self.port
         if self._kind is None:
             return not port.ar.can_recv() and not port.aw.can_recv()
@@ -171,13 +163,7 @@ class DramModel(Component):
         self._ready = cycle + self._wait + 1
 
     def _serve_read(self, cycle: int) -> None:
-        if self._batch_mode:
-            if cycle < self._ready:
-                return
-        elif self._wait > 0:
-            self._wait -= 1
-            return
-        if not self.port.r.can_send():
+        if cycle < self._ready or not self.port.r.can_send():
             return
         beat = self._beat
         nbytes = bytes_per_beat(beat.size)
@@ -213,13 +199,7 @@ class DramModel(Component):
                 self._w_done = True
                 self._ready = cycle + self._wait + 1
             return
-        if self._batch_mode:
-            if cycle < self._ready:
-                return
-        elif self._wait > 0:
-            self._wait -= 1
-            return
-        if not self.port.b.can_send():
+        if cycle < self._ready or not self.port.b.can_send():
             return
         resp = Resp.SLVERR if self._w_error else Resp.OKAY
         self.port.b.send(BBeat(id=self._beat.id, resp=resp, txn=self._beat.txn))

@@ -25,8 +25,8 @@ class SramMemory(Component):
     """Fixed-latency AXI subordinate backed by a byte array."""
 
     _STATE_FIELDS = (
-        "_rd", "_rd_addrs", "_rd_index", "_rd_wait", "_rd_ready", "_rd_error",
-        "_wr", "_wr_addrs", "_wr_index", "_wr_wait", "_wr_ready", "_wr_error",
+        "_rd", "_rd_addrs", "_rd_index", "_rd_ready", "_rd_error",
+        "_wr", "_wr_addrs", "_wr_index", "_wr_ready", "_wr_error",
         "_wr_done", "_atomic_r", "reads_served", "writes_served",
         "read_beats", "write_beats", "atomics_served",
     )
@@ -53,18 +53,15 @@ class SramMemory(Component):
         self._rd: Optional[ARBeat] = None
         self._rd_addrs: list[bytes] = []
         self._rd_index = 0
-        self._rd_wait = 0
-        self._rd_ready = 0  # batched: first-serve cycle (event-driven)
+        self._rd_ready = 0  # first-serve cycle
         self._rd_error = False
         # Write state machine.
         self._wr: Optional[AWBeat] = None
         self._wr_addrs: list[int] = []
         self._wr_index = 0
-        self._wr_wait = 0
-        self._wr_ready = 0  # batched: B-response cycle (event-driven)
+        self._wr_ready = 0  # B-response cycle
         self._wr_error = False
         self._wr_done = False
-        self._batch_mode = False  # repro: lint-ok[snapshot-coverage] recomputed from the kernel's datapath mode every tick
         # Pending read-data response of an atomic operation (old value).
         self._atomic_r: Optional[RBeat] = None
 
@@ -77,24 +74,14 @@ class SramMemory(Component):
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        self._batch_mode = self._sim._batched
         self._tick_read(cycle)
         self._tick_write(cycle)
 
     def is_idle(self) -> bool:
-        # W beats that arrive ahead of their AW are ignored until the AW
-        # shows up, so they do not make the memory busy.
-        if not self._batch_mode:
-            return (
-                self._rd is None
-                and self._wr is None
-                and self._atomic_r is None
-                and not self.port.ar.can_recv()
-                and not self.port.aw.can_recv()
-            )
-        # Batched: latency windows are event-driven — the tick during a
-        # countdown is a pure comparison, so the memory sleeps until the
-        # scheduled completion (or a channel event on a blocked port).
+        # A latency window's ticks are pure comparisons, so the memory
+        # sleeps until the ready cycle, and through blocked ports until a
+        # channel event.  W beats that arrive ahead of their AW are
+        # ignored until the AW shows up, so they do not make it busy.
         port = self.port
         now = self._sim.cycle
         wake = None
@@ -151,7 +138,7 @@ class SramMemory(Component):
             if port.ar._queue:
                 return None  # an AR would be accepted this cycle
         elif cycle < self._rd_ready:
-            # Pure countdown: ticks are no-ops until the serve cycle.
+            # Latency window: ticks are no-ops until the serve cycle.
             horizon = min(horizon, self._rd_ready - cycle)
         else:
             beat = self._rd
@@ -289,7 +276,6 @@ class SramMemory(Component):
             beat = self.port.ar.recv()
             self._rd = beat
             self._rd_index = 0
-            self._rd_wait = self.read_latency
             self._rd_ready = cycle + self.read_latency + 1
             try:
                 self._rd_addrs = beat_addresses(beat)
@@ -298,13 +284,7 @@ class SramMemory(Component):
                 self._rd_addrs = [beat.addr] * beat.beats
                 self._rd_error = True
             return
-        if self._batch_mode:
-            if cycle < self._rd_ready:
-                return
-        elif self._rd_wait > 0:
-            self._rd_wait -= 1
-            return
-        if not self.port.r.can_send():
+        if cycle < self._rd_ready or not self.port.r.can_send():
             return
         beat = self._rd
         addr = self._rd_addrs[self._rd_index]
@@ -338,7 +318,6 @@ class SramMemory(Component):
             self._wr = beat
             self._wr_index = 0
             self._wr_done = False
-            self._wr_wait = self.write_latency
             try:
                 self._wr_addrs = beat_addresses(beat)
                 self._wr_error = False
@@ -364,13 +343,7 @@ class SramMemory(Component):
                 self._wr_done = True
                 self._wr_ready = cycle + self.write_latency + 1
             return
-        if self._batch_mode:
-            if cycle < self._wr_ready:
-                return
-        elif self._wr_wait > 0:
-            self._wr_wait -= 1
-            return
-        if not self.port.b.can_send():
+        if cycle < self._wr_ready or not self.port.b.can_send():
             return
         resp = Resp.SLVERR if self._wr_error else Resp.OKAY
         self.port.b.send(BBeat(id=self._wr.id, resp=resp, txn=self._wr.txn))

@@ -48,9 +48,10 @@ Batched transport
 
 ``Simulator(batched=True)`` (the default) additionally enables the batched
 beat datapath: channels move whole runs of beats through
-:class:`ExpressRoute` orders at the step boundary, memories schedule their
-latency completion with timed wake-ups instead of polled countdowns, and
-interconnects scope their scans to active state.  All of it is a pure
+:class:`ExpressRoute` orders at the step boundary, and the NoC scopes its
+step to routers that hold flits.  The flag selects the transport only:
+memory latency and every ``is_idle`` rule are the same on both datapaths,
+and who sleeps is the active set's decision.  All of it is a pure
 optimisation — every observable is bit-identical to the per-beat reference
 path, which ``batched=False`` preserves unchanged (see ``DESIGN.md``
 section 9 for the equivalence contract).
@@ -257,7 +258,6 @@ class Simulator:
         self.cycle = 0
         self._components: list[Component] = []
         self._channels: list = []  # list[Channel]; untyped to avoid cycle
-        self._watchers: list[Callable[[int], None]] = []
         self._active_set_enabled = active_set
         self._batched = batched
         # Span replay rides on both optimised paths: the active set
@@ -270,7 +270,7 @@ class Simulator:
         self._wake_heap: list[tuple[int, int, Component]] = []
         self._wake_seq = 0
         # Commit-boundary hooks: (cycle, seq, fn) fired after the commit
-        # (and the watchers) of *cycle*.  The control plane's schedule
+        # of *cycle*.  The control plane's schedule
         # engine is built on these; see DESIGN.md section 8.
         self._hook_heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._hook_seq = 0
@@ -330,9 +330,11 @@ class Simulator:
     def batched(self) -> bool:
         """True when the batched beat datapath is enabled (the default).
 
-        ``batched=False`` keeps the per-beat reference path everywhere:
-        no express routes, no timed latency scheduling, no scoped scans —
-        the exact seed datapath, used as the equivalence baseline.
+        The flag selects the transport: the crossbar's express orders,
+        the NoC's scoped step, and span replay, which rides on them.
+        ``batched=False`` keeps the per-beat reference transport — no
+        express routes, full NoC scans, no spans — as the equivalence
+        baseline; memory latency and sleep rules do not depend on it.
         """
         return self._batched
 
@@ -362,13 +364,6 @@ class Simulator:
     def register_channel(self, channel) -> None:
         """Called by Channel.__init__; not part of the public API."""
         self._channels.append(channel)
-
-    def add_watcher(self, fn: Callable[[int], None]) -> None:
-        """Register *fn(cycle)* to run after every commit phase.
-
-        Watchers observe committed state; they must not send on channels.
-        """
-        self._watchers.append(fn)
 
     def register_state_client(self, name: str, client) -> None:
         """Register a non-component state owner for checkpoint/restore.
@@ -532,11 +527,11 @@ class Simulator:
     def call_at(self, cycle: int, fn: Callable[[int], None]) -> None:
         """Run *fn(cycle)* at the commit boundary of *cycle*.
 
-        The hook fires after the commit phase (and the watchers) of
-        *cycle*, when every channel has published and every component's
-        state is final for that cycle — the same instant on both kernel
-        variants, which is what makes scheduled observation and
-        reconfiguration bit-identical across them.  Hooks scheduled for a
+        The hook fires after the commit phase of *cycle*, when every
+        channel has published and every component's state is final for
+        that cycle — the same instant on both kernel variants, which is
+        what makes scheduled observation and reconfiguration
+        bit-identical across them.  Hooks scheduled for a
         cycle that already committed fire at the next boundary.  A hook
         may wake components, write configuration, and schedule further
         hooks (periodic schedules re-arm themselves this way).
@@ -722,8 +717,6 @@ class Simulator:
             for order in tuple(self._express):
                 order.after_commit()
         self.cycle = cycle + 1
-        for watcher in self._watchers:
-            watcher(cycle)
         if self._hook_heap:
             self._fire_hooks(cycle)
         if timed:
@@ -732,30 +725,17 @@ class Simulator:
     def _fast_forward(self, target: int) -> None:
         """Jump the clock to *target* while the system is quiescent.
 
-        Watchers still observe every skipped cycle, and per-cycle counts
-        (``busy_cycles``, ``ticks_skipped``) are functions of the clock,
-        so the jump is invisible to everything except wall-clock time.
+        Per-cycle counts (``busy_cycles``, ``ticks_skipped``) are
+        functions of the clock, so the jump is invisible to everything
+        except wall-clock time.
         """
         start = self.cycle
-        if self._watchers:
-            # Watchers may wake components (e.g. by scripting new work)
-            # or touch channels; stop forwarding as soon as that happens.
-            cycle = start
-            while cycle < target:
-                self.cycle = cycle + 1
-                for watcher in self._watchers:
-                    watcher(cycle)
-                cycle += 1
-                if self._active or self._hot_channels:
-                    break
-        else:
-            self.cycle = target
-        skipped = self.cycle - start
-        if skipped:
-            self.cycles_fast_forwarded += skipped
-            rec = self._recorder
-            if rec is not None:
-                rec.fast_forward(start, skipped)
+        self.cycle = target
+        skipped = target - start
+        self.cycles_fast_forwarded += skipped
+        rec = self._recorder
+        if rec is not None:
+            rec.fast_forward(start, skipped)
         if self._hook_heap:
             # _next_stop capped the jump at the earliest hook's boundary,
             # so at most the hooks of the just-committed cycle are due.
@@ -828,7 +808,6 @@ class Simulator:
                     continue
             elif (
                 self._span_enabled
-                and not self._watchers
                 and self._span_veto not in self._active
                 and not self._owes_commit()
                 and attempt_span(self, limit)

@@ -45,7 +45,7 @@ from repro.snapshot.codec import SnapshotError, decode_state, encode_state
 
 #: On-disk / on-wire format revision.  Bump on any incompatible change
 #: to the tree layout or to a component's state dict.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 def _client_pending_hooks(client: Any) -> int:

@@ -114,11 +114,8 @@ class CoreModel(Component):
         state = self._state
         if state == "done" or self._napping:
             return True
-        sim = self._sim
-        if sim is None or not sim._batched:
-            return False
-        # Batched: a blocking core's wait-for-response (or blocked-issue)
-        # ticks are pure polls on a watched channel — sleep through them.
+        # A blocking core's wait-for-response (or blocked-issue) ticks
+        # are pure polls on a watched channel: sleep through them.
         port = self.port
         if state == "wait_resp":
             op = self.trace.ops[self._index]

@@ -146,11 +146,8 @@ class ManagerDriver(Component):
         op = self._current
         if op is None:
             return not self._queue
-        sim = self._sim
-        if sim is None or not sim._batched:
-            return False
-        # Batched: mid-operation ticks are pure polls — sleep whenever
-        # every sub-action is blocked on a watched channel.
+        # Mid-operation ticks are pure polls: sleep whenever every
+        # sub-action is blocked on a watched channel.
         port = self.port
         if op.kind == "read":
             if not self._aw_sent:

@@ -182,9 +182,6 @@ class TricklingWriter(Component):
             self._w_sent = 0
 
     def is_idle(self) -> bool:
-        sim = self._sim
-        if sim is None or not sim._batched:
-            return False
         port = self.port
         if port.b.can_recv():
             return False
@@ -193,7 +190,7 @@ class TricklingWriter(Component):
         if self._w_sent < self.beats:
             # Sleeping through the trickle gap preserves the exact cycle
             # the next W beat would go out.
-            if self._next_w > sim.cycle + 1:
+            if self._next_w > self._sim.cycle + 1:
                 self.wake_at(self._next_w)
                 return True
             return not port.w.can_send()

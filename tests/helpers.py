@@ -82,6 +82,17 @@ def run_all(sim: Simulator, drivers, max_cycles: int = 100_000):
     )
 
 
+def every_boundary(sim: Simulator, fn) -> None:
+    """Run *fn(cycle)* at every commit boundary from the current cycle
+    on: a hook chain that re-arms itself for the next cycle."""
+
+    def fire(cycle: int) -> None:
+        sim.call_at(cycle + 1, fire)
+        fn(cycle)
+
+    sim.call_at(sim.cycle, fire)
+
+
 # ----------------------------------------------------------------------
 # scripted stimulus for differential tests
 # ----------------------------------------------------------------------

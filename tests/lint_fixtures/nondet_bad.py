@@ -32,3 +32,7 @@ def walk_managers(managers: set) -> list:
     for name in {"core", "dma"}:
         out.append(name)
     return out + [m for m in set(managers)]
+
+
+def seeded_draw(seed: int) -> float:
+    return random.Random(seed).random()  # repro: lint-ok[nondeterminism-sources] fixture: seeded, so it silences nothing

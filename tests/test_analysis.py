@@ -90,13 +90,14 @@ def test_interference_matrix_format():
     assert "core" in text and "dma" in text
 
 
-def test_system_monitor_detects_dma_interference():
-    """Under heavy contention, the monitor blames the DMA for core stalls."""
+def _contention_matrix(active_set: bool = True, batched: bool = True):
+    """The interference matrix of a core and a 256-beat DMA contending
+    for the LLC, sampled until the core finishes."""
     from repro.sim import Simulator
     from repro.soc import CheshireSoC, DRAM_BASE, SPM_BASE
     from repro.traffic import CoreModel, DmaEngine, susan_like_trace
 
-    sim = Simulator()
+    sim = Simulator(active_set=active_set, batched=batched)
     soc = CheshireSoC(sim)
     soc.warm_llc(DRAM_BASE, 32 * 1024)
     monitor = SystemInterferenceMonitor(sim, soc.realm_units)
@@ -107,7 +108,25 @@ def test_system_monitor_detects_dma_interference():
                   dst_base=SPM_BASE, dst_size=8192, burst_beats=256)
     )
     sim.run_until(lambda: core.done, max_cycles=100_000, what="core")
-    assert monitor.matrix.cycles("core", "dma") > 0
+    return monitor.matrix
+
+
+def test_system_monitor_detects_dma_interference():
+    """Under heavy contention, the monitor blames the DMA for core stalls."""
+    assert _contention_matrix().cycles("core", "dma") > 0
+
+
+@pytest.mark.parametrize("active_set,batched",
+                         [(False, False), (False, True), (True, False),
+                          (True, True)])
+def test_interference_matrix_is_the_same_on_every_kernel(active_set, batched):
+    """The monitor samples every commit boundary, fast-forwards and
+    sleeping units included, so each kernel combination sees the same
+    matrix over the same cycles."""
+    matrix = _contention_matrix(active_set, batched)
+    assert matrix.cycles("core", "dma") == 2802
+    assert matrix.cycles("dma", "core") == 19
+    assert matrix.sampled_cycles == 2955
 
 
 # ----------------------------------------------------------------------

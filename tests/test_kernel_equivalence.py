@@ -21,6 +21,8 @@ from repro.sim import Channel, Component, Simulator, drain
 from repro.system import SystemBuilder
 from repro.traffic import BandwidthHog, CoreModel, DmaEngine, susan_like_trace
 
+from helpers import every_boundary
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -362,22 +364,22 @@ def test_knob_write_mid_burst_is_cycle_identical():
 # functions of the clock, so every clock advance (step, fast-forward,
 # span) agrees with the naive kernel's per-cycle commits by construction.
 # ----------------------------------------------------------------------
-def _busy_seen_by_a_watcher(active_set: bool):
+def _busy_seen_at_each_boundary(active_set: bool):
     sim = Simulator(active_set=active_set)
     held = Channel(sim, "held")
     held.send("beat")  # committed by the first step; never consumed
     seen = []
-    sim.add_watcher(lambda cycle: seen.append(held.busy_cycles))
+    every_boundary(sim, lambda cycle: seen.append(held.busy_cycles))
     sim.run(10)
     return seen, sim.cycles_fast_forwarded
 
 
-def test_watcher_reads_busy_cycles_during_a_fast_forward():
-    naive, _ = _busy_seen_by_a_watcher(active_set=False)
-    active, forwarded = _busy_seen_by_a_watcher(active_set=True)
+def test_boundary_hook_reads_busy_cycles_during_a_fast_forward():
+    naive, _ = _busy_seen_at_each_boundary(active_set=False)
+    active, forwarded = _busy_seen_at_each_boundary(active_set=True)
     assert naive == list(range(1, 11))
     assert active == naive
-    assert forwarded == 9  # the watcher really read inside the jump
+    assert forwarded == 9  # the hooks really read inside the jump
 
 
 class _Feeder(Component):

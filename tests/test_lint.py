@@ -24,6 +24,7 @@ from repro.control.paths import check_dotted_path, validate_path
 from repro.lint import all_rules, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.rules import RULE_CLASSES, rule_ids
+from repro.lint.rules.phase import PhaseDisciplineRule
 from repro.lint.rules.snapshot import SnapshotCoverageRule
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,6 +63,7 @@ GOLDEN = {
         ("nondeterminism-sources", 27),  # id()
         ("nondeterminism-sources", 32),  # set-literal iteration
         ("nondeterminism-sources", 34),  # set(...) iteration
+        ("bad-suppression", 38),  # a suppression that silences nothing
     ],
     "optional_int_bad.py": [
         ("optional-int-truthiness", 12),  # if probe_value:
@@ -101,7 +103,7 @@ def test_bad_fixture_golden_findings(fixture):
 def test_every_shipped_rule_has_a_failing_fixture():
     fired = {rule for findings in map(lint_fixture, GOLDEN)
              for rule in {f.rule for f in findings}}
-    assert fired == set(rule_ids())
+    assert fired == set(rule_ids()) | {"bad-suppression"}
 
 
 @pytest.mark.parametrize("fixture", [
@@ -142,7 +144,10 @@ def test_suppression_only_silences_named_rule():
         "t = time.time()  # repro: lint-ok[phase-discipline] wrong rule\n",
         all_rules(), subpath="sim/x.py",
     )
-    assert [f.rule for f in findings] == ["nondeterminism-sources"]
+    # The finding stands, and the misnamed suppression silenced nothing.
+    assert [f.rule for f in findings] == [
+        "nondeterminism-sources", "bad-suppression",
+    ]
 
 
 def test_comment_line_suppression_covers_next_code_line():
@@ -153,6 +158,23 @@ def test_comment_line_suppression_covers_next_code_line():
         all_rules(), subpath="sim/x.py",
     )
     assert findings == []
+
+
+def test_suppression_that_silences_nothing_is_a_finding():
+    source = (
+        "import time\n"
+        "t = 1  # repro: lint-ok[nondeterminism-sources] nothing to silence\n"
+        "# repro: lint-ok[nondeterminism-sources,phase-discipline] half used\n"
+        "u = time.time()\n"
+    )
+    findings = lint_source(source, all_rules(), subpath="sim/x.py")
+    assert [(f.rule, f.line) for f in findings] == [("bad-suppression", 2)]
+    # Only a suppression whose rules all ran is judged: under a rule
+    # filter, one naming other rules is not reported.
+    assert lint_source(source, [PhaseDisciplineRule()],
+                       subpath="sim/x.py") == []
+    assert lint_main(["--rule", "probe-path-literal",
+                      str(FIXTURES / "nondet_bad.py")]) == 0
 
 
 def test_unknown_directive_is_a_finding():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import Channel, Component, SimulationError, Simulator
 
+from helpers import every_boundary
+
 
 class Counter(Component):
     def __init__(self):
@@ -52,10 +54,10 @@ def test_run_until_timeout_raises():
         sim.run_until(lambda: False, max_cycles=10, what="never")
 
 
-def test_watchers_run_after_commit():
+def test_boundary_hook_chain_runs_after_each_commit():
     sim = Simulator()
     seen = []
-    sim.add_watcher(lambda cyc: seen.append(cyc))
+    every_boundary(sim, lambda cyc: seen.append(cyc))
     sim.run(3)
     assert seen == [0, 1, 2]
 
@@ -200,10 +202,10 @@ def test_poll_seam_runs_only_while_its_gate_is_open(entry):
     assert polls == [5]
 
 
-def test_fast_forward_still_runs_watchers_every_cycle():
+def test_fast_forward_still_fires_a_boundary_hook_chain_every_cycle():
     sim = Simulator()
     seen = []
-    sim.add_watcher(seen.append)
+    every_boundary(sim, seen.append)
     sim.run(1000)
     assert seen == list(range(1000))
 

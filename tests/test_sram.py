@@ -247,17 +247,17 @@ def test_span_read_offer_equals_per_beat_reads(case, data):
     bulk, ref = _loaded_pair(case)
     for sram in (bulk, ref):
         _push(sram.port.ar, ar.copy())
-        sram._tick_read(0)
+        sram._tick_read(0)  # accepted at cycle 0, served from cycle 1
         sram._rd_error = rd_error
-        for _ in range(start):
-            sram._tick_read(0)
+        for cycle in range(1, start + 1):
+            sram._tick_read(cycle)
             sram.port.r.commit()
             sram.port.r.recv()
-    offer = bulk.span_offer(1, bound)
+    offer = bulk.span_offer(start + 1, bound)
     (flow,) = offer.flows
     served = []
-    for _ in range(min(beats - 1 - start, bound)):
-        ref._tick_read(0)
+    for cycle in range(start + 1, start + 1 + min(beats - 1 - start, bound)):
+        ref._tick_read(cycle)
         ref.port.r.commit()
         served.append(ref.port.r.recv())
     first = served[0]
@@ -342,22 +342,25 @@ def test_span_offer_refuses_exactly_overlapping_read_and_write(
     port = sram.port
     _push(port.ar, ar)
     _push(port.aw, aw)
-    sram._tick_read(0)
+    sram._tick_read(0)  # accepted at cycle 0, served from cycle 1
     sram._tick_write(0)
+    cycle = 0
     for _ in range(rd_start):
-        sram._tick_read(0)
+        cycle += 1
+        sram._tick_read(cycle)
         port.r.commit()
         port.r.recv()
     wbytes = 1 << aw.size
     for _ in range(written):
+        cycle += 1
         _push(port.w, WBeat(data=bytes(wbytes)))
-        sram._tick_write(0)
+        sram._tick_write(cycle)
     _push(port.w, WBeat(data=bytes(wbytes)))  # the next, non-last W beat
     rd_rest = beat_addresses(ar)[rd_start:]
     wr_rest = beat_addresses(aw)[min(written, aw.beats - 1):]
     overlap = (min(rd_rest) < max(wr_rest) + wbytes
                and min(wr_rest) < max(rd_rest) + (1 << ar.size))
-    offer = sram.span_offer(1, UNBOUNDED)
+    offer = sram.span_offer(cycle + 1, UNBOUNDED)
     assert (offer is None) == overlap
     if offer is not None:
         assert len(offer.flows) == 2
