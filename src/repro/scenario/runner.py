@@ -129,11 +129,8 @@ def build_system(
     if flavor == "crossbar":
         builder.with_crossbar(qos_arbitration=spec.topology.qos_arbitration)
     elif flavor == "noc":
-        builder.with_noc(
-            spec.topology.noc_width,
-            spec.topology.noc_height,
-            router_depth=spec.topology.router_depth,
-        )
+        noc = spec.topology.noc
+        builder.with_noc(noc.width, noc.height, router_depth=noc.router_depth)
     elif flavor == "direct":
         builder.with_direct()
     for manager in spec.topology.managers:
@@ -177,35 +174,22 @@ def _build_trace(binding: TrafficScenario):
     )
 
 
+# Each non-core kind's parameters are exactly its generator's keywords.
+_GENERATORS = {
+    "dma": DmaEngine,
+    "hog": BandwidthHog,
+    "staller": StallingWriter,
+    "trickler": TricklingWriter,
+}
+
+
 def _traffic_factory(binding: TrafficScenario) -> Callable:
-    p = binding.param
     name = f"{binding.manager}.{binding.kind}"
     if binding.kind == "core":
         trace = _build_trace(binding)
         return lambda port: CoreModel(port, trace, name=name)
-    if binding.kind == "dma":
-        return lambda port: DmaEngine(
-            port, src_base=p("src_base"), src_size=p("src_size"),
-            dst_base=p("dst_base"), dst_size=p("dst_size"),
-            burst_beats=p("burst_beats"), size=p("size"),
-            n_buffers=p("n_buffers"), inter_burst_gap=p("inter_burst_gap"),
-            name=name,
-        )
-    if binding.kind == "hog":
-        return lambda port: BandwidthHog(
-            port, target_base=p("target_base"), window=p("window"),
-            beats=p("beats"), size=p("size"),
-            max_outstanding=p("max_outstanding"), name=name,
-        )
-    if binding.kind == "staller":
-        return lambda port: StallingWriter(
-            port, target=p("target"), beats=p("beats"), size=p("size"),
-            repeat=p("repeat"), name=name,
-        )
-    return lambda port: TricklingWriter(
-        port, target=p("target"), beats=p("beats"), size=p("size"),
-        gap=p("gap"), name=name,
-    )
+    generator, params = _GENERATORS[binding.kind], binding.params
+    return lambda port: generator(port, **params, name=name)
 
 
 def attach_traffic(system: System, spec: ScenarioSpec) -> dict[str, Component]:
@@ -214,9 +198,13 @@ def attach_traffic(system: System, spec: ScenarioSpec) -> dict[str, Component]:
     for binding in spec.traffic:
         if not binding.enabled:
             continue
-        generators[binding.manager] = system.attach(
-            binding.manager, _traffic_factory(binding)
-        )
+        try:
+            generators[binding.manager] = system.attach(
+                binding.manager, _traffic_factory(binding)
+            )
+        except ValueError as exc:  # generator-level config error
+            raise ScenarioError(f"traffic does not elaborate: {exc}",
+                                path=f"traffic.{binding.manager}") from exc
     return generators
 
 

@@ -294,11 +294,59 @@ def test_run_checkpoint_every_and_resume_round_trip(
     assert resumed["points"][0]["observables"] == base["observables"]
 
 
-def test_run_resume_rejects_garbage(tmp_path, capsys):
+_GOOD_CKPT = (Path(__file__).resolve().parent / "checkpoints"
+              / "stream-steady-budget_8k-c2000.ckpt")
+
+
+def _ckpt_garbage(path: Path) -> None:
+    path.write_bytes(b"nope")
+
+
+def _ckpt_truncated(path: Path) -> None:
+    blob = _GOOD_CKPT.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _ckpt_format_skewed(path: Path) -> None:
+    from repro.snapshot.store import MAGIC
+
+    blob = _GOOD_CKPT.read_bytes()
+    path.write_bytes(MAGIC + (1).to_bytes(4, "big") + blob[len(MAGIC) + 4:])
+
+
+def _ckpt_rewritten(edit):
+    def write(path: Path) -> None:
+        from repro.snapshot import load_checkpoint, save_checkpoint
+
+        meta, state = load_checkpoint(_GOOD_CKPT)
+        edit(meta)
+        save_checkpoint(path, state, meta=meta)
+
+    return write
+
+
+def _bad_spec(meta: dict) -> None:
+    meta["spec"]["topology"]["managers"][0]["bogus"] = 1
+
+
+def _no_spec(meta: dict) -> None:
+    del meta["spec"]
+
+
+@pytest.mark.parametrize("write, message", [
+    (_ckpt_garbage, "not a repro checkpoint file"),
+    (_ckpt_truncated, "corrupt checkpoint payload"),
+    (_ckpt_format_skewed, "checkpoint format 1 is not the supported format"),
+    (_ckpt_rewritten(_bad_spec), "topology.managers[0]: unknown field"),
+    (_ckpt_rewritten(_no_spec), "checkpoint metadata holds no scenario spec"),
+], ids=["garbage", "truncated", "format-skewed", "bad-spec", "no-spec"])
+def test_run_resume_rejects_garbage(write, message, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"nope")
+    write(bad)
     assert main(["run", "--resume", str(bad)]) == 1
-    assert "resume error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "repro: resume error:" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("extra, named", [

@@ -34,6 +34,8 @@ from repro.scenario import (
 # ----------------------------------------------------------------------
 # valid scenario dicts
 # ----------------------------------------------------------------------
+# Every spec class the loader reads is drawn somewhere below, so the
+# round-trip and corruption properties reach each of its field tables.
 _REGULATORS = [
     {"kind": "abu", "budget_bytes": 1024, "period_cycles": 500},
     {"kind": "abe", "nominal_burst": 2},
@@ -41,8 +43,12 @@ _REGULATORS = [
 ]
 
 
+def _node(draw) -> list:
+    return [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+
+
 @st.composite
-def manager_dicts(draw, name: str) -> dict:
+def manager_dicts(draw, name: str, noc: bool) -> dict:
     style = draw(st.sampled_from(["bare", "realm", "regulator"]))
     manager: dict = {"name": name}
     if style == "realm":
@@ -67,12 +73,37 @@ def manager_dicts(draw, name: str) -> dict:
             manager["regulation"] = draw(st.booleans())
     elif style == "regulator":
         manager["regulator"] = draw(st.sampled_from(_REGULATORS))
+    if noc and draw(st.booleans()):
+        manager["node"] = _node(draw)
     return manager
 
 
 @st.composite
+def memory_dicts(draw, noc: bool) -> list:
+    memories = [{"name": "mem", "kind": "sram", "base": 0, "size": 0x20000}]
+    if draw(st.booleans()):
+        dram = {
+            "name": "dram",
+            "kind": draw(st.sampled_from(["dram", "cached_dram"])),
+            "base": 0x8000_0000,
+            "size": 0x2_0000,
+        }
+        if draw(st.booleans()):
+            dram["timing"] = {
+                "t_cas": draw(st.integers(0, 12)),
+                "row_bytes": draw(st.sampled_from([1024, 2048])),
+            }
+        memories.append(dram)
+    if noc:
+        for memory in memories:
+            if draw(st.booleans()):
+                memory["node"] = _node(draw)
+    return memories
+
+
+@st.composite
 def traffic_dicts(draw) -> dict:
-    kind = draw(st.sampled_from(["core", "hog", "staller", "trickler"]))
+    kind = draw(st.sampled_from(["core", "dma", "hog", "staller", "trickler"]))
     if kind == "core":
         binding = {
             "kind": "core",
@@ -85,6 +116,10 @@ def traffic_dicts(draw) -> dict:
         if draw(st.booleans()):
             binding["seed"] = draw(st.integers(0, 2**31))
         return binding
+    if kind == "dma":
+        return {"kind": "dma", "src_base": 0, "src_size": 0x1000,
+                "dst_base": 0x8000, "dst_size": 0x1000,
+                "burst_beats": draw(st.sampled_from([16, 256]))}
     if kind == "hog":
         return {"kind": "hog", "window": 0x8000,
                 "beats": draw(st.sampled_from([1, 16, 256]))}
@@ -94,42 +129,103 @@ def traffic_dicts(draw) -> dict:
 
 
 @st.composite
+def schedule_dicts(draw, realm_managers: list) -> list:
+    rules = []
+    for i in range(draw(st.integers(0, 2))):
+        rule: dict = {"label": f"r{i}"}
+        trigger = draw(st.sampled_from(["at", "every", "when"]))
+        if trigger == "at":
+            rule["at"] = draw(st.integers(0, 500))
+        elif trigger == "every":
+            rule["every"] = draw(st.integers(1, 500))
+            if draw(st.booleans()):
+                rule["start"] = draw(st.integers(0, 100))
+                rule["until"] = rule["start"] + draw(st.integers(0, 1000))
+        else:
+            rule["when"] = "port.m0.ar.sent >= 4"
+            rule["once"] = draw(st.booleans())
+        if draw(st.booleans()):
+            rule["enabled"] = draw(st.booleans())
+        if draw(st.booleans()):
+            rule["set"] = {"realm.m0.region0.budget_bytes":
+                           draw(st.integers(0, 4096))}
+        if draw(st.booleans()):
+            rule["sample"] = ["port.m0.*.sent"]
+        if realm_managers and draw(st.booleans()):
+            rule["advise"] = {"managers": realm_managers[:1],
+                              "period_cycles": draw(st.integers(1, 1000))}
+            if draw(st.booleans()):
+                rule["advise"]["weights"] = [draw(st.sampled_from([1, 2.5]))]
+        if not any(key in rule for key in ("set", "sample", "advise")):
+            rule["sample"] = ["port.m0.*.recv"]
+        rules.append(rule)
+    return rules
+
+
+@st.composite
 def scenario_dicts(draw) -> dict:
     n_managers = draw(st.integers(min_value=1, max_value=3))
+    interconnect = draw(st.sampled_from(["auto", "crossbar", "noc"]))
+    noc = interconnect == "noc"
     names = [f"m{i}" for i in range(n_managers)]
-    managers = [draw(manager_dicts(name)) for name in names]
-    memories = [{"name": "mem", "kind": "sram", "base": 0, "size": 0x20000}]
-    if draw(st.booleans()):
-        memories.append({
-            "name": "dram",
-            "kind": draw(st.sampled_from(["dram", "cached_dram"])),
-            "base": 0x8000_0000,
-            "size": 0x2_0000,
-        })
+    managers = [draw(manager_dicts(name, noc)) for name in names]
+    memories = draw(memory_dicts(noc))
     traffic = {
         name: draw(traffic_dicts())
         for name in names
         if draw(st.booleans())
     }
+    cores = [name for name, b in traffic.items() if b["kind"] == "core"]
+    run: dict = {}
+    if cores and draw(st.booleans()):
+        # A bare string is the one-manager spelling of a list.
+        run["until"] = cores[0] if draw(st.booleans()) else cores
+        run_key = "run.max_cycles"
+    else:
+        run["horizon"] = draw(st.integers(1, 2000))
+        run_key = "run.horizon"
+    topology: dict = {
+        "interconnect": interconnect,
+        "managers": managers,
+        "memories": memories,
+    }
+    if noc:
+        topology["noc"] = {"width": 4, "height": 4}
+        if draw(st.booleans()):
+            topology["noc"]["router_depth"] = draw(st.integers(1, 8))
     raw: dict = {
         "scenario": {
             "name": "prop",
             "seed": draw(st.integers(0, 2**31)),
             "active_set": draw(st.booleans()),
         },
-        "run": {"horizon": draw(st.integers(1, 2000))},
-        "topology": {
-            "interconnect": draw(st.sampled_from(["auto", "crossbar"])),
-            "managers": managers,
-            "memories": memories,
-        },
+        "run": run,
+        "topology": topology,
         "traffic": traffic,
     }
+    if any(m["kind"] == "cached_dram" for m in memories) and draw(
+        st.booleans()
+    ):
+        raw["warm"] = [{"cache": "llc", "base": 0x8000_0000, "size": 4096}]
+    if draw(st.booleans()):
+        raw["metrics"] = {"collect": draw(st.lists(
+            st.sampled_from(["latency", "counters", "realms", "channels"]),
+            unique=True,
+        ))}
+    if draw(st.booleans()):
+        raw["probes"] = {"sample": ["port.m0.*.sent"],
+                         "every": draw(st.integers(1, 500))}
+        if draw(st.booleans()):
+            raw["probes"]["start"] = draw(st.integers(0, 100))
+    realm_managers = [m["name"] for m in managers if "protect" in m]
+    schedule = draw(schedule_dicts(realm_managers))
+    if schedule:
+        raw["schedule"] = schedule
     if draw(st.booleans()):
         raw["campaign"] = {
             "points": [
-                {"label": "short", "set": {"run.horizon": 5}},
-                {"label": "long", "set": {"run.horizon": 50}},
+                {"label": "short", "set": {run_key: 5}},
+                {"label": "long", "set": {run_key: 50}},
             ],
             "sweep": [{
                 "field": "scenario.seed",
@@ -139,8 +235,19 @@ def scenario_dicts(draw) -> dict:
                 ),
             }],
         }
+        if draw(st.booleans()):
+            raw["campaign"]["baseline"] = draw(
+                st.sampled_from(["short", "long"])
+            )
+        if draw(st.booleans()):
+            fields = ["run.max_cycles", "topology.managers.m0.capacity"]
+            raw["campaign"]["sweep"].append({
+                "fields": fields[:draw(st.integers(1, 2))],
+                "values": [100, 200],
+                "labels": ["lo", "hi"],
+            })
     if draw(st.booleans()):
-        raw["smoke"] = {"set": {"run.horizon": 3}}
+        raw["smoke"] = {"set": {run_key: 3}}
     return raw
 
 

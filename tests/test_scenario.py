@@ -265,6 +265,93 @@ def test_axis_fields_apply_one_value_to_all():
         assert [m.capacity for m in point.spec.topology.managers] == [cap, cap]
 
 
+def test_axis_without_fields_rejected():
+    raw = _minimal_dict()
+    raw["campaign"] = {"sweep": [{"fields": [], "values": [1, 2]}]}
+    with pytest.raises(ScenarioError,
+                       match=r"campaign\.sweep\[0\]\.fields: axis needs "
+                             r"at least one field"):
+        validate(raw)
+    # With labels, an empty axis would expand into identical base points.
+    raw["campaign"]["sweep"][0]["labels"] = ["a", "b"]
+    with pytest.raises(ScenarioError, match="at least one field"):
+        validate(raw)
+
+
+def _with_regulator(raw: dict, regulator: dict) -> None:
+    raw["topology"]["managers"][0]["regulator"] = regulator
+
+
+def _with_region(raw: dict, period) -> None:
+    raw["topology"]["managers"][0]["regions"] = [
+        {"size": 0x8000, "budget_bytes": 512, "period_cycles": period}
+    ]
+
+
+def _with_traffic(raw: dict, binding: dict) -> None:
+    raw["traffic"]["hog"] = binding
+
+
+def _with_llc(raw: dict, **fields) -> None:
+    raw["topology"]["memories"].append({
+        "name": "dram", "kind": "cached_dram", "base": 0x8000_0000,
+        "size": 0x1_0000, **fields,
+    })
+
+
+_DMA = {"kind": "dma", "src_base": 0, "src_size": 0x1000,
+        "dst_base": 0x8000, "dst_size": 0x1000}
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda raw: _with_regulator(
+        raw, {"kind": "abu", "budget_bytes": 64, "period_cycles": 0}),
+     "topology.managers[0].regulator.period_cycles"),
+    (lambda raw: _with_region(raw, 0),
+     "topology.managers[0].regions[0].period_cycles"),
+    (lambda raw: _with_regulator(raw, {"kind": "abe", "nominal_burst": 0}),
+     "topology.managers[0].regulator.nominal_burst"),
+    (lambda raw: _with_traffic(raw, {"kind": "core", "n_accesses": 3,
+                                     "beats": 0}),
+     "traffic.hog.beats"),
+    (lambda raw: _with_traffic(raw, {"kind": "hog", "beats": 0}),
+     "traffic.hog.beats"),
+    (lambda raw: _with_traffic(raw, {"kind": "staller", "beats": 0}),
+     "traffic.hog.beats"),
+    (lambda raw: _with_traffic(raw, {"kind": "trickler", "beats": 0}),
+     "traffic.hog.beats"),
+    (lambda raw: _with_traffic(raw, {"kind": "hog", "beats": 257}),
+     "traffic.hog.beats"),
+    (lambda raw: _with_traffic(raw, {"kind": "hog", "size": -1}),
+     "traffic.hog.size"),
+    (lambda raw: _with_traffic(raw, {**_DMA, "burst_beats": 0}),
+     "traffic.hog.burst_beats"),
+    (lambda raw: _with_traffic(raw, {**_DMA, "n_buffers": 0}),
+     "traffic.hog.n_buffers"),
+    (lambda raw: _with_traffic(raw, {**_DMA, "src_size": 64}),
+     "traffic.hog"),
+    (lambda raw: _with_traffic(raw, {"kind": "core", "n_accesses": 3,
+                                     "read_fraction": 1.5}),
+     "traffic.hog.read_fraction"),
+    (lambda raw: _with_llc(raw, llc_ways=0),
+     "topology.memories[1].llc_ways"),
+    (lambda raw: _with_llc(raw, llc_capacity=0),
+     "topology.memories[1].llc_capacity"),
+], ids=["abu-period", "region-period", "abe-burst", "core-beats",
+        "hog-beats", "staller-beats", "trickler-beats", "beats-257",
+        "size", "dma-burst", "dma-buffers", "dma-window", "read-fraction",
+        "llc-ways", "llc-capacity"])
+def test_values_that_cannot_run_are_scenario_errors(edit, path):
+    # Each value would otherwise validate and then raise a raw exception
+    # (ZeroDivisionError, IndexError, ValueError) mid-run, at build or at
+    # attach.
+    raw = _minimal_dict()
+    edit(raw)
+    with pytest.raises(ScenarioError) as info:
+        run_point(expand(validate(raw))[0])
+    assert info.value.path == path
+
+
 def test_derive_seed_is_stable_and_spread():
     assert derive_seed(1, 0, "a") == derive_seed(1, 0, "a")
     assert derive_seed(1, 0, "a") != derive_seed(1, 1, "a")
